@@ -10,6 +10,7 @@ the reciprocal-addition law of the subsystem dwell times.
 __version__ = "0.1.0"
 
 from .errors import (
+    BlockOverflowError,
     ConfigurationError,
     DifferentiationError,
     DomainError,

@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=None, help="directory for result files")
-        if name in ("scatter", "dwell"):
+        if name == "scatter":
             p.add_argument("--dump-wavefunction", action="store_true",
                            help="also write radial wave functions as CSV (r, Re phi, Im phi)")
         if name == "kp":

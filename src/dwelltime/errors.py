@@ -50,3 +50,18 @@ class SubsystemConvergenceError(DwellTimeError):
 
 class InternalConsistencyError(DwellTimeError):
     """Two redundant computations of the same quantity disagree."""
+
+
+class BlockOverflowError(DwellTimeError):
+    """A block of the rescaled Numerov solve produced non-finite values.
+
+    Carries the step ``h``, the growth bound ``kappa`` that sized the
+    blocks and the index ``block`` of the offending block.
+    """
+
+    def __init__(self, h: float, kappa: float, block: int):
+        super().__init__(
+            f"Numerov block {block} overflowed (h = {h:.6g}, growth bound kappa = {kappa:.6g})")
+        self.h = h
+        self.kappa = kappa
+        self.block = block

@@ -7,10 +7,16 @@ throughout.  All kernels accept complex data.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_banded
 
-_OVERFLOW_CAP = 1e250
+from .errors import BlockOverflowError
+
+# ln(1e250): the growth one LAPACK solve may accumulate, leaving a wide
+# margin below the double-precision overflow at about 1.8e308
+_GROWTH_LIMIT = math.log(1e250)
 
 
 def taylor_first_step(y0, dy0, h: float, f0, f1):
@@ -27,27 +33,41 @@ def taylor_first_step(y0, dy0, h: float, f0, f1):
     )
 
 
-def _numerov_loop(beta_right, alpha, beta_left, h: float, y0, y1):
-    """Three-term recurrence with overflow rescaling (slow path)."""
-    n = beta_right.shape[0]
-    y = np.empty(n, dtype=complex)
-    y[0], y[1] = y0, y1
-    scale = 1.0
-    for i in range(2, n):
-        y[i] = (alpha[i - 1] * y[i - 1] - beta_left[i - 2] * y[i - 2]) / beta_right[i]
-        m = abs(y[i])
-        if m > _OVERFLOW_CAP:
-            y[: i + 1] /= m
-            scale /= m
-    return y, scale
+def _growth_bound(f: np.ndarray) -> float:
+    """Upper bound on the local growth rate Re sqrt(f) of y'' = f y.
+
+    kappa^2 = max(Re f, 0) + max|Im f| bounds (Re sqrt f)^2 at every node
+    without taking a complex square root over the grid.
+    """
+    if np.iscomplexobj(f):
+        kappa2 = max(float(np.max(f.real)), 0.0) + float(np.max(np.abs(f.imag)))
+    else:
+        kappa2 = max(float(np.max(f)), 0.0)
+    return math.sqrt(kappa2)
+
+
+def _banded_block(beta_right, alpha, beta_left, y0, y1):
+    """One LAPACK solve of the recurrence on a block seeded with y0, y1."""
+    m = beta_right.shape[0]
+    dtype = beta_right.dtype
+    ab = np.zeros((3, m), dtype=dtype)
+    ab[0, 0] = 1.0
+    ab[0, 1] = 1.0
+    ab[0, 2:] = beta_right[2:]
+    ab[1, 1 : m - 1] = -alpha[1 : m - 1]
+    ab[2, : m - 2] = beta_left[: m - 2]
+    rhs = np.zeros(m, dtype=dtype)
+    rhs[0] = y0
+    rhs[1] = y1
+    return solve_banded((2, 0), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
 def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     """Propagate y'' = f(x) y across equally spaced nodes given y[0], y[1].
 
     Returns ``(y, scale)`` where the computed values equal the exact
-    recurrence solution multiplied by ``scale`` (scale < 1 only when the
-    overflow-rescue path ran).
+    recurrence solution multiplied by ``scale`` (scale != 1 only when the
+    solve ran in more than one block).
 
     Each step expands the solution around its center node, so a node value
     of f enters three steps in different roles.  Where f is discontinuous
@@ -56,9 +76,14 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     as the right/left endpoint of a step (default: f itself, which should
     then hold the midpoint of the limits for the center role).
 
-    The recurrence is solved as a lower-banded linear system in a single
-    LAPACK call; deep classically forbidden regions that overflow fall back
-    to an explicit loop with rescaling.
+    The recurrence is solved as a lower-banded linear system.  When the
+    growth bound kappa (:func:`_growth_bound`) allows exp(h kappa (n - 1))
+    to stay below 1e250 this is a single LAPACK call.  Otherwise the nodes
+    are split into blocks of at most ln(1e250) / (h kappa) nodes that
+    overlap by two; each block is one LAPACK call seeded with the previous
+    block's last two values, and everything solved so far is divided by the
+    block's peak modulus before the next block starts.  A block that still
+    produces non-finite values raises :class:`BlockOverflowError`.
     """
     f = np.asarray(f)
     f_as_right = f if f_as_right is None else np.asarray(f_as_right)
@@ -71,26 +96,32 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     beta_left = (1.0 - (h * h / 12.0) * f_as_left).astype(dtype)
     alpha = (2.0 + (5.0 * h * h / 6.0) * f).astype(dtype)
 
-    ab = np.zeros((3, n), dtype=dtype)
-    ab[0, 0] = 1.0
-    ab[0, 1] = 1.0
-    ab[0, 2:] = beta_right[2:]
-    ab[1, 1 : n - 1] = -alpha[1 : n - 1]
-    ab[2, : n - 2] = beta_left[: n - 2]
-    rhs = np.zeros(n, dtype=dtype)
-    rhs[0] = y0
-    rhs[1] = y1
+    kappa = _growth_bound(f)
+    m = n
+    if h * kappa * (n - 1) > _GROWTH_LIMIT:
+        # a block of m nodes advances m - 2 of them
+        m = max(3, int(_GROWTH_LIMIT / (h * kappa)))
 
-    y = solve_banded((2, 0), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    if np.all(np.isfinite(y)):
-        y = y.astype(complex, copy=False)
-        # the first two entries are boundary data, not unknowns; pin them
-        # against pivoting roundoff
-        y[0] = y0
-        y[1] = y1
-        return y, 1.0
-    return _numerov_loop(beta_right.astype(complex), alpha.astype(complex),
-                         beta_left.astype(complex), h, complex(y0), complex(y1))
+    y = np.empty(n, dtype=dtype)
+    y[0] = y0
+    y[1] = y1
+    scale = 1.0
+    start = block = 0
+    while start + 2 < n:
+        stop = min(start + m, n)
+        z = _banded_block(beta_right[start:stop], alpha[start:stop], beta_left[start:stop],
+                          y[start], y[start + 1])
+        if not np.all(np.isfinite(z)):
+            raise BlockOverflowError(h, kappa, block)
+        # the first two entries are boundary data, not unknowns; keep them
+        # as given against pivoting roundoff
+        y[start + 2 : stop] = z[2:]
+        if stop < n:
+            peak = float(np.max(np.abs(y[start:stop])))
+            y[:stop] /= peak
+            scale /= peak
+        start, block = stop - 2, block + 1
+    return y.astype(complex, copy=False), scale
 
 
 def _forward5(y: np.ndarray, i: int, h: float):
@@ -181,17 +212,13 @@ def simpson_uniform(y: np.ndarray, h: float):
     if intervals % 2 == 0:
         core = y
         tail = 0.0
-    elif n >= 4:
+    else:
+        # odd interval count with n >= 4 nodes: the core keeps an odd length
         core = y[: n - 3]
         tail = 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
-    else:  # n == 3 handled above (even intervals); unreachable
-        core = y
-        tail = 0.0
     if core.shape[0] >= 3:
         s = core[0] + core[-1] + 4.0 * np.sum(core[1:-1:2]) + 2.0 * np.sum(core[2:-2:2])
         main = h / 3.0 * s
-    elif core.shape[0] == 2:
-        main = 0.5 * h * (core[0] + core[1])
     else:
         main = 0.0
     return main + tail

@@ -108,7 +108,7 @@ class RadialSolution:
 
     ``values[0] == 0`` (regularity of phi = r Psi) and ``origin_slope``
     records the normalization phi'(0) actually carried by ``values`` (unity
-    unless the overflow-rescue path rescaled the solution).
+    unless a blocked Numerov solve rescaled the solution between blocks).
     """
 
     grid: RadialGrid
@@ -216,8 +216,10 @@ def _check_resolution(grid: RadialGrid, energy, mass: float, v: np.ndarray):
 def integrate_radial(potential: PotentialSpec, energy, mass: float, grid: RadialGrid) -> RadialSolution:
     """Integrate the reduced radial equation outward from the origin.
 
-    Normalization phi(0) = 0, phi'(0) = 1 (recorded; the overflow-rescue
-    path rescales and flags itself in ``diagnostics``).
+    Normalization phi(0) = 0, phi'(0) = 1, recorded in ``origin_slope``.
+    Where its growth bound allows overflow, the kernel solves in rescaled
+    blocks; ``origin_slope`` then carries the accumulated scale and
+    ``diagnostics["rescaled"]`` is set.
     """
     if not mass > 0.0:
         raise DomainError("mass must be positive")
@@ -303,7 +305,11 @@ def match_scattering(solution: RadialSolution, r0: float | None = None) -> Scatt
 
     k = math.sqrt(2.0 * solution.mass * energy)
     phi = complex(solution.values[i0])
-    dphi = complex(solution.derivatives[i0])
+    if i0 == solution.grid.n_points - 1:
+        # the stored end derivative, without building the whole field
+        dphi = solution.derivative_at_end
+    else:
+        dphi = complex(solution.derivatives[i0])
 
     i_raw = np.exp(1j * k * r0) * (dphi - 1j * k * phi)
     s_raw = math.cos(k * r0) * phi - math.sin(k * r0) * dphi / k
@@ -451,7 +457,7 @@ def solve_barrier_1d(potential: PotentialSpec, energy: float, mass: float,
     psi0 = psi[0]
     dpsi0 = -dpsi0_rev  # back to d/dx
 
-    # The rescue scaling (if any) cancels in the matching ratio; the
+    # The block rescaling (if any) cancels in the matching ratio; the
     # transmitted amplitude reacquires it, which is where it physically
     # belongs (exponentially small transmission through a thick barrier).
     c = 2j * k / (1j * k * psi0 + dpsi0)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -105,29 +104,6 @@ class Numerics:
     k_fixed: float | None = None
     root_tol: float = 1e-10
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-
-def worker_count() -> int:
-    raw = os.environ.get("DWELLTIME_NUM_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigurationError("DWELLTIME_NUM_WORKERS: expected a positive integer")
-    return n
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    n = worker_count()
-    if n == 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +234,6 @@ def write_sidecar(path: Path, config: dict, elapsed: float) -> None:
         "package_version": __version__,
         "elapsed_seconds": elapsed,
         "config_echo": config,
-        "workers": worker_count(),
     }
     atomic_write_text(Path(str(path) + ".meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -341,12 +316,11 @@ def run_winful_1d(config: dict, out_dir=None) -> list[Path]:
     energies = _parse_energy_range(config, "winful_1d")
     num = parse_numerics(config.get("numerics"))
 
-    def one(e: float) -> TimeReport:
+    reports = []
+    for e in energies:
         barrier = solve_barrier_1d(potential, float(e), mass, spacing=num.grid_spacing)
-        return winful_decomposition_1d(barrier, rel_step=num.diff_step_rel, e_min=num.e_min,
-                                       tol=num.tolerances["winful"])
-
-    reports = parallel_map(one, energies)
+        reports.append(winful_decomposition_1d(barrier, rel_step=num.diff_step_rel,
+                                               e_min=num.e_min, tol=num.tolerances["winful"]))
     path = _out_path(config, out_dir, "winful.csv")
     write_csv(path, _TIME_COLUMNS, [_time_report_row(r) for r in reports])
     flagged = sum(1 for r in reports if "threshold_singular" in r.flags)
@@ -627,13 +601,12 @@ def _barrier_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     tol = num.tolerances
     out: list[CheckResult] = []
 
-    def one(e: float):
+    results = []
+    for e in energies[energies >= num.e_min]:
         barrier = solve_barrier_1d(potential, float(e), mass, spacing=num.grid_spacing)
         rep = winful_decomposition_1d(barrier, rel_step=num.identity_diff_step_rel,
                                       e_min=num.e_min, tol=tol["winful"])
-        return barrier.flux_residual, rep
-
-    results = parallel_map(one, [e for e in energies if e >= num.e_min])
+        results.append((barrier.flux_residual, rep))
     out.append(_check_le("flux_conservation", max(r[0] for r in results), tol["flux"]))
     out.append(_check_le("winful_identity",
                          max(abs(r[1].winful_residual) for r in results), tol["winful"]))

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from dwelltime import numerics
 from dwelltime.errors import (
+    BlockOverflowError,
     ConfigurationError,
     DomainError,
     MatchingError,
@@ -22,7 +25,7 @@ from dwelltime.radial import (
     solve_barrier_1d,
 )
 
-from reference import barrier_amplitudes, square_well_delta
+from reference import barrier_amplitudes, repulsive_step_delta, square_well_delta
 
 SW_DELTA_E1 = 0.08382277524263821          # closed-form delta for V0=10, a=1, m=1, E=1
 KP_INTERIOR = 4.69041575982343             # sqrt(22), interior wavenumber at E=1
@@ -245,6 +248,93 @@ class TestBarrier1D:
         sol = solve_barrier_1d(wide, 1.0, 1.0, spacing=2e-4)
         assert abs(sol.transmission) < 1e-90
         assert abs(abs(sol.reflection) - 1.0) < 1e-9
+
+
+class TestBlockedNumerov:
+    """Solves whose growth bound exceeds one LAPACK call run in rescaled blocks."""
+
+    @staticmethod
+    def _constant_problem(growth: float, kappa: float = 50.0, h: float = 1e-3):
+        """Constant f = kappa^2 on a grid over which the solution grows by exp(growth)."""
+        n = int(round(growth / (h * kappa))) + 1
+        f = np.full(n, kappa * kappa)
+        return f, h, 1.0, taylor_first_step(1.0, kappa, h, f[0], f[1])
+
+    @staticmethod
+    def _single_solve(f, h, y0, y1):
+        n = f.shape[0]
+        ab = np.zeros((3, n))
+        ab[0, :2] = 1.0
+        ab[0, 2:] = 1.0 - (h * h / 12.0) * f[2:]
+        ab[1, 1 : n - 1] = -(2.0 + (5.0 * h * h / 6.0) * f[1 : n - 1])
+        ab[2, : n - 2] = 1.0 - (h * h / 12.0) * f[: n - 2]
+        rhs = np.zeros(n)
+        rhs[:2] = y0, y1
+        y = solve_banded((2, 0), ab, rhs, check_finite=False)
+        y[:2] = y0, y1
+        return y
+
+    def test_repulsive_step_beyond_block_limit_matches_closed_form(self):
+        # kappa a = 1549 exceeds the single-solve limit ln(1e250) ~ 575.6
+        step = square_well(-3.0e5, 2.0)
+        grid = RadialGrid.from_spacing(2.5, 2e-4)
+        for e in (1.0, 5.0):
+            sol = integrate_radial(step, e, 1.0, grid)
+            assert sol.diagnostics["rescaled"]
+            assert np.all(np.isfinite(sol.values))
+            obs = match_scattering(sol, 2.5)
+            diff = obs.delta - repulsive_step_delta(e, 1.0, 3.0e5, 2.0)
+            diff -= math.pi * round(diff / math.pi)
+            assert abs(diff) < 1e-7
+
+    def test_opaque_barrier_conserves_flux(self):
+        e, height, width = 10.0, 2000.0, 14.3
+        k, kappa = math.sqrt(2.0 * e), math.sqrt(2.0 * (height - e))
+        assert kappa * width == pytest.approx(900.0, abs=5.0)
+        sol = solve_barrier_1d(rectangular_barrier(height, width), e, 1.0, spacing=1e-3)
+        assert sol.flux_residual < 1e-10
+        # e^{-2 kappa L} is far below double precision: a semi-infinite step
+        assert abs(sol.reflection - (k - 1j * kappa) / (k + 1j * kappa)) < 1e-7
+
+    def test_just_below_block_limit_is_one_bitwise_solve(self):
+        f, h, y0, y1 = self._constant_problem(575.0)
+        assert h * 50.0 * (f.shape[0] - 1) < numerics._GROWTH_LIMIT
+        y, scale = numerov(f, h, y0, y1)
+        assert scale == 1.0
+        assert np.array_equal(y, self._single_solve(f, h, y0, y1).astype(complex))
+
+    def test_blocks_match_single_solve_up_to_scale(self):
+        # exp(650) still fits a double, so one solve is a reference here
+        f, h, y0, y1 = self._constant_problem(650.0)
+        y, scale = numerov(f, h, y0, y1)
+        assert scale < 1.0
+        ref = self._single_solve(f, h, y0, y1)
+        assert np.all(np.isfinite(ref))
+        tail = slice(f.shape[0] // 2, None)
+        assert np.max(np.abs(y[tail] / scale / ref[tail] - 1.0)) < 1e-10
+
+    def test_complex_growth_is_bounded_without_overflow(self):
+        # f = i b grows like exp(sqrt(b/2) x): exp(800) here, past a double
+        h, b = 1e-3, 5000.0
+        n = int(round(800.0 / (h * math.sqrt(b / 2.0)))) + 1
+        f = np.full(n, 1j * b)
+        y, scale = numerov(f, h, 1.0, taylor_first_step(1.0, 0.0, h, f[0], f[1]))
+        assert np.all(np.isfinite(y))
+        assert scale < 1.0
+        # the dominant root of beta z^2 - alpha z + beta = 0 for constant f
+        beta, alpha = 1.0 - h * h * f[0] / 12.0, 2.0 + 5.0 * h * h * f[0] / 6.0
+        growth = (alpha + cmath.sqrt(alpha * alpha - 4.0 * beta * beta)) / (2.0 * beta)
+        assert abs(y[-1] / y[-2] / growth - 1.0) < 1e-12
+
+    def test_overflowing_block_raises_typed_error(self, monkeypatch):
+        f, h, y0, y1 = self._constant_problem(900.0)
+        # blocks sized for exp(750) pass the double-precision limit
+        monkeypatch.setattr(numerics, "_GROWTH_LIMIT", 750.0)
+        with pytest.raises(BlockOverflowError) as err:
+            numerov(f, h, y0, y1)
+        assert err.value.block == 0
+        assert err.value.h == h
+        assert err.value.kappa == pytest.approx(50.0)
 
 
 def test_phase_shift_scan_matches_oracle_everywhere(sw10):

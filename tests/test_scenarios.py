@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +11,8 @@ from dwelltime.scenarios import (
     Numerics,
     bundled_regression_config,
     load_config,
-    parallel_map,
     parse_numerics,
     run_scenario,
-    worker_count,
     write_csv,
 )
 
@@ -117,6 +114,16 @@ class TestScatterScan:
         dump = tmp_path / "s_wavefunction_0000.csv"
         assert dump.exists()
         assert dump.read_text().splitlines()[0] == "r,re_phi,im_phi"
+
+    def test_dwell_rejects_wavefunction_dump(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "dwell_scan", "potential": SW, "mass": 1.0, "r0": 1.0,
+            "energy_range": [0.5, 1.0, 2], "output": {"path": "d.csv"},
+        })
+        with pytest.raises(SystemExit) as exc:
+            main(["dwell", "--config", str(cfg), "--out", str(tmp_path), "--dump-wavefunction"])
+        assert exc.value.code != 0
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestDwellAndWinful:
@@ -236,37 +243,6 @@ class TestVerify:
         entry = report["width_dwell_identity"]
         assert not entry["pass"]
         assert entry["value"] > entry["tolerance"]
-
-
-class TestWorkers:
-    def test_worker_count_from_env(self, monkeypatch):
-        monkeypatch.delenv("DWELLTIME_NUM_WORKERS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("DWELLTIME_NUM_WORKERS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("DWELLTIME_NUM_WORKERS", "0")
-        with pytest.raises(ConfigurationError):
-            worker_count()
-        monkeypatch.setenv("DWELLTIME_NUM_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            worker_count()
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("DWELLTIME_NUM_WORKERS", "4")
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-
-    def test_parallel_scan_matches_serial(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {
-            "scenario": "winful_1d", "potential": BARRIER, "mass": 1.0,
-            "energy_range": [0.5, 3.0, 6], "output": {"path": "w.csv"},
-        })
-        monkeypatch.delenv("DWELLTIME_NUM_WORKERS", raising=False)
-        run_scenario(cfg, out_dir=tmp_path / "serial")
-        monkeypatch.setenv("DWELLTIME_NUM_WORKERS", "4")
-        run_scenario(cfg, out_dir=tmp_path / "parallel")
-        assert ((tmp_path / "serial/w.csv").read_bytes()
-                == (tmp_path / "parallel/w.csv").read_bytes())
 
 
 def test_write_csv_formats_17_significant_digits(tmp_path):
