@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .errors import BlockOverflowError
 
@@ -46,20 +46,47 @@ def _growth_bound(f: np.ndarray) -> float:
     return math.sqrt(kappa2)
 
 
-def _banded_block(beta_right, alpha, beta_left, y0, y1):
-    """One LAPACK solve of the recurrence on a block seeded with y0, y1."""
-    m = beta_right.shape[0]
-    dtype = beta_right.dtype
-    ab = np.zeros((3, m), dtype=dtype)
-    ab[0, 0] = 1.0
-    ab[0, 1] = 1.0
-    ab[0, 2:] = beta_right[2:]
-    ab[1, 1 : m - 1] = -alpha[1 : m - 1]
-    ab[2, : m - 2] = beta_left[: m - 2]
-    rhs = np.zeros(m, dtype=dtype)
-    rhs[0] = y0
-    rhs[1] = y1
-    return solve_banded((2, 0), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
+def solve_banded(ab, rhs):
+    """Solve a lower-triangular banded system by forward substitution.
+
+    ``ab`` holds the band in LAPACK lower storage (``ab[k, j]`` is the
+    coefficient of unknown j in row j + k) and shares ``rhs``'s dtype; one
+    LAPACK ``tbtrs`` call, which overwrites ``rhs``.  A nonzero LAPACK
+    status (a zero diagonal entry) raises :class:`numpy.linalg.LinAlgError`.
+    """
+    tbtrs = ztbtrs if np.iscomplexobj(ab) else dtbtrs
+    x, info = tbtrs(ab, rhs, uplo="L", overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular band solve failed: LAPACK tbtrs info = {info}")
+    return x
+
+
+def _banded_block(cf, cf_right, cf_left, y0, y1):
+    """One difference-form solve of the recurrence on a block seeded with y0, y1.
+
+    ``cf`` is (h^2/12) f over the block's nodes, ``cf_right``/``cf_left``
+    the same for the endpoint roles.  The unknowns interleave the values
+    and their first differences, (y0, d1, y1, d2, y2, ...) with
+    d_j = y_j - y_{j-1}; each step adds two rows
+
+        (1 - cf^R_{i+1}) d_{i+1} - d_i - (cf^R_{i+1} + 10 cf_i) y_i - cf^L_{i-1} y_{i-1} = 0
+        y_{i+1} - y_i - d_{i+1} = 0
+
+    so the rounded coefficient 2 + 10 cf_i of the plain recurrence is never
+    formed.  Returns the values y over the block.
+    """
+    m = cf.shape[0]
+    # row j of band is column j of the LAPACK storage, so band.T needs no copy
+    band = np.zeros((2 * m - 1, 4), dtype=cf.dtype)
+    band[:, 0] = 1.0
+    band[3::2, 0] -= cf_right[2:]
+    band[2:-2:2, 1] = -(cf_right[2:] + 10.0 * cf[1:-1])
+    band[3:-1:2, 1] = -1.0
+    band[1:-2, 2] = -1.0
+    band[:-4:2, 3] = -cf_left[:-2]
+    rhs = np.zeros(2 * m - 1, dtype=cf.dtype)
+    rhs[:3] = y0, y1 - y0, y1
+    return solve_banded(band.T, rhs)[::2]
 
 
 def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
@@ -76,14 +103,18 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     as the right/left endpoint of a step (default: f itself, which should
     then hold the midpoint of the limits for the center role).
 
-    The recurrence is solved as a lower-banded linear system.  When the
-    growth bound kappa (:func:`_growth_bound`) allows exp(h kappa (n - 1))
-    to stay below 1e250 this is a single LAPACK call.  Otherwise the nodes
-    are split into blocks of at most ln(1e250) / (h kappa) nodes that
-    overlap by two; each block is one LAPACK call seeded with the previous
-    block's last two values, and everything solved so far is divided by the
-    block's peak modulus before the next block starts.  A block that still
-    produces non-finite values raises :class:`BlockOverflowError`.
+    The recurrence is solved in Blatt's difference form (values and first
+    differences as unknowns, see :func:`_banded_block`): one forward
+    substitution over a lower-triangular band that never rounds the
+    coefficient 2 + 5 h^2 f / 6, so refining the grid does not raise a
+    roundoff floor.  When the growth bound kappa (:func:`_growth_bound`)
+    allows exp(h kappa (n - 1)) to stay below 1e250 this is a single LAPACK
+    call.  Otherwise the nodes are split into blocks of at most
+    ln(1e250) / (h kappa) nodes that overlap by two; each block is one
+    LAPACK call seeded with the previous block's last two values, and
+    everything solved so far is divided by the block's peak modulus before
+    the next block starts.  A block that still produces non-finite values
+    raises :class:`BlockOverflowError`.
     """
     f = np.asarray(f)
     f_as_right = f if f_as_right is None else np.asarray(f_as_right)
@@ -92,9 +123,10 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     if n < 2:
         raise ValueError("need at least two nodes")
     dtype = complex if (np.iscomplexobj(f) or isinstance(y0, complex) or isinstance(y1, complex)) else float
-    beta_right = (1.0 - (h * h / 12.0) * f_as_right).astype(dtype)
-    beta_left = (1.0 - (h * h / 12.0) * f_as_left).astype(dtype)
-    alpha = (2.0 + (5.0 * h * h / 6.0) * f).astype(dtype)
+    c = h * h / 12.0
+    cf = (c * f).astype(dtype, copy=False)
+    cf_right = cf if f_as_right is f else (c * f_as_right).astype(dtype, copy=False)
+    cf_left = cf if f_as_left is f else (c * f_as_left).astype(dtype, copy=False)
 
     kappa = _growth_bound(f)
     m = n
@@ -109,12 +141,10 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     start = block = 0
     while start + 2 < n:
         stop = min(start + m, n)
-        z = _banded_block(beta_right[start:stop], alpha[start:stop], beta_left[start:stop],
+        z = _banded_block(cf[start:stop], cf_right[start:stop], cf_left[start:stop],
                           y[start], y[start + 1])
         if not np.all(np.isfinite(z)):
             raise BlockOverflowError(h, kappa, block)
-        # the first two entries are boundary data, not unknowns; keep them
-        # as given against pivoting roundoff
         y[start + 2 : stop] = z[2:]
         if stop < n:
             peak = float(np.max(np.abs(y[start:stop])))

@@ -220,8 +220,11 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    # Python floats (rows from an array's .tolist()) skip _fmt's type
+    # dispatch; format(x, ".17g") is what _fmt writes for them
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join([format(cell, ".17g") if type(cell) is float else _fmt(cell) for cell in row])
+                 for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -264,6 +267,11 @@ def _time_report_row(rep: TimeReport) -> list:
             ";".join(rep.flags)]
 
 
+def _wave_rows(nodes: np.ndarray, values: np.ndarray) -> list:
+    """(r, Re phi, Im phi) rows of a dumped wave function, as Python floats."""
+    return np.column_stack((nodes, values.real, values.imag)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # scenario runners (each returns a list of written file paths)
 
@@ -287,8 +295,7 @@ def run_scatter_scan(config: dict, out_dir=None, dump_wavefunction=False) -> lis
         for idx, e in enumerate(energies):
             sol = integrate_radial(potential, float(e), mass, grid)
             wf_path = path.with_name(f"{path.stem}_wavefunction_{idx:04d}.csv")
-            write_csv(wf_path, ["r", "re_phi", "im_phi"],
-                      [[r, v.real, v.imag] for r, v in zip(grid.nodes(), sol.values)])
+            write_csv(wf_path, ["r", "re_phi", "im_phi"], _wave_rows(grid.nodes(), sol.values))
             written.append(wf_path)
     print(f"[scatter_scan] {len(energies)} energies, max |delta| = "
           f"{max(abs(d) for d in deltas):.6g} -> {path}")
@@ -381,8 +388,7 @@ def run_kp_find(config: dict, out_dir=None, dump_eigenfunctions=False) -> list[P
             grid = pair.eigenfunction.grid
             ef_path = path.with_name(f"{path.stem}_eigenfunction_{idx:04d}.csv")
             write_csv(ef_path, ["r", "re_phi", "im_phi"],
-                      [[r, v.real, v.imag]
-                       for r, v in zip(grid.nodes(), pair.eigenfunction.values)])
+                      _wave_rows(grid.nodes(), pair.eigenfunction.values))
             written.append(ef_path)
     print(f"[kp_find] {len(result.eigenpairs)} eigenpair(s), "
           f"{len(result.failures)} failed seed(s) -> {path}")

@@ -155,14 +155,31 @@ def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
         r0 = potential.support_radius
     if grid is None:
         grid = auto_grid(potential, energy, mass, r_max=r0, spacing=spacing)
+    return _stencil_delay(potential, energy, mass, rel_step, r0, grid)
+
+
+def _stencil_delay(potential: PotentialSpec, energy: float, mass: float, rel_step: float,
+                   r0: float, grid: RadialGrid, centre_delta: float | None = None) -> float:
+    """The stencil of :func:`phase_time_delay` on a given grid.
+
+    ``centre_delta`` is delta at ``energy`` itself on the same grid and
+    matching radius, for callers that have already solved there; it is the
+    value the stencil's centre solve would return, so passing it changes no
+    result.
+    """
+    def delta_at(e) -> float:
+        return match_scattering(integrate_radial(potential, float(e), mass, grid), r0).delta
 
     step = rel_step
     for attempt in range(2):
         h = step * energy
         if energy - 2.0 * h <= 0.0:
             raise DomainError("energy too close to threshold for the differentiation stencil")
-        offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * h
-        deltas, _ = _phase_set(potential, energy + offsets, mass, r0, grid)
+        if centre_delta is None:
+            centre_delta = delta_at(energy)
+        raw = [delta_at(e) for e in energy + np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h]
+        raw.insert(3, centre_delta)
+        deltas = unwrap_nearest(np.array(raw), math.pi)
         if not _jumpy(deltas):
             d_h = five_point_derivative(deltas[0], deltas[1], deltas[5], deltas[6], h)
             d_half = five_point_derivative(deltas[1], deltas[2], deltas[4], deltas[5], 0.5 * h)
@@ -422,7 +439,7 @@ def time_scan(potential: PotentialSpec, mass: float, energies, r0: float,
         obs = match_scattering(sol, r0)
         normalized = sol.rescaled(obs.normalization)
         dres = dwell_time(normalized, (0.0, r0), 1.0)
-        phase_delay = phase_time_delay(potential, e, mass, rel_step=rel_step, r0=r0, grid=grid)
+        phase_delay = _stencil_delay(potential, e, mass, rel_step, r0, grid, centre_delta=obs.delta)
         tau_free = mass * r0 / obs.k
         flags: tuple[str, ...] = ()
         if dres.snapped:

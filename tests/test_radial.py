@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 from dwelltime import numerics
 from dwelltime.errors import (
@@ -261,7 +262,35 @@ class TestBlockedNumerov:
         return f, h, 1.0, taylor_first_step(1.0, kappa, h, f[0], f[1])
 
     @staticmethod
+    def _difference_form_solve(f, h, y0, y1):
+        """Blatt's difference form, written out row by row, as one dtbtrs call.
+
+        Unknowns (y0, d1, y1, d2, y2, ...) with d_j = y_j - y_{j-1}; band
+        entry ab[k, j] is the coefficient of unknown j in row j + k.
+        """
+        n = f.shape[0]
+        c = h * h / 12.0
+        ab = np.zeros((4, 2 * n - 1))
+        ab[0] = 1.0
+        for i in range(1, n - 1):
+            row = 2 * i + 1
+            # (1 - c f_{i+1}) d_{i+1} - d_i - c (f_{i+1} + 10 f_i) y_i - c f_{i-1} y_{i-1} = 0
+            ab[0, row] = 1.0 - c * f[i + 1]
+            ab[1, row - 1] = -(c * f[i + 1] + 10.0 * (c * f[i]))
+            ab[2, row - 2] = -1.0
+            ab[3, row - 3] = -(c * f[i - 1])
+            # y_{i+1} - y_i - d_{i+1} = 0
+            ab[1, row] = -1.0
+            ab[2, row - 1] = -1.0
+        rhs = np.zeros(2 * n - 1)
+        rhs[:3] = y0, y1 - y0, y1
+        x, info = dtbtrs(ab, rhs, uplo="L")
+        assert info == 0
+        return x[::2]
+
+    @staticmethod
     def _single_solve(f, h, y0, y1):
+        """The plain three-term recurrence as one pivoting band LU (gbsv)."""
         n = f.shape[0]
         ab = np.zeros((3, n))
         ab[0, :2] = 1.0
@@ -301,7 +330,7 @@ class TestBlockedNumerov:
         assert h * 50.0 * (f.shape[0] - 1) < numerics._GROWTH_LIMIT
         y, scale = numerov(f, h, y0, y1)
         assert scale == 1.0
-        assert np.array_equal(y, self._single_solve(f, h, y0, y1).astype(complex))
+        assert np.array_equal(y, self._difference_form_solve(f, h, y0, y1).astype(complex))
 
     def test_blocks_match_single_solve_up_to_scale(self):
         # exp(650) still fits a double, so one solve is a reference here
@@ -335,6 +364,34 @@ class TestBlockedNumerov:
         assert err.value.block == 0
         assert err.value.h == h
         assert err.value.kappa == pytest.approx(50.0)
+
+    def test_singular_band_raises_instead_of_returning(self):
+        ab = np.zeros((4, 3))
+        ab[0] = 1.0, 0.0, 1.0
+        ab[1, 0] = -1.0
+        with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+            numerics.solve_banded(ab, np.ones(3))
+
+
+class TestNoRoundoffFloor:
+    """Refining the grid keeps reducing the error: no roundoff floor below 1e-3."""
+
+    ENERGIES = np.linspace(0.3, 7.5, 25)
+
+    def _max_delta_error(self, sw10, spacing):
+        deltas, _ = phase_shift_scan(sw10, self.ENERGIES, 1.0, r0=1.0, spacing=spacing)
+        worst = 0.0
+        for e, d in zip(self.ENERGIES, deltas):
+            diff = d - square_well_delta(float(e), 1.0, 10.0, 1.0)
+            worst = max(worst, abs(diff - math.pi * round(diff / math.pi)))
+        return worst
+
+    @pytest.mark.parametrize("spacing", [1e-4, 5e-5])
+    def test_fine_grid_delta_error_below_1e_11(self, sw10, spacing):
+        assert self._max_delta_error(sw10, spacing) < 1e-11
+
+    def test_halving_coarse_spacing_cuts_error_eightfold(self, sw10):
+        assert self._max_delta_error(sw10, 1e-3) >= 8.0 * self._max_delta_error(sw10, 5e-4)
 
 
 def test_phase_shift_scan_matches_oracle_everywhere(sw10):

@@ -17,6 +17,9 @@ from reference import square_well_delay
 
 # converged self-consistent eigenvalue for the depth-10 well, boundary at r0 = 1
 SW_EIGENVALUE = 1.1666001075 - 1.5746791359j
+# a narrow state trapped behind a thin barrier, with a seed near it
+TRAP = tabulated_potential([0.0, 0.98, 1.02, 1.58, 1.62], [-8.0, -8.0, 6.0, 6.0, 0.0])
+TRAP_SEED = complex(4.7675, -0.1664)
 
 
 def joint_zero_cells(potential, mass, k_fixed, r0, grid, re_axis, im_axis):
@@ -135,16 +138,29 @@ class TestFindEigenvalues:
             assert failure.reason
 
     def test_stalled_seed_reports_failure_with_residual(self):
-        # at fine spacing the scaled defect of this narrow trap state stalls
-        # on the solver's roundoff floor just above the tolerance
-        trap = tabulated_potential([0.0, 0.98, 1.02, 1.58, 1.62],
-                                   [-8.0, -8.0, 6.0, 6.0, 0.0])
-        result = find_kp_eigenvalues(trap, 1.0, [complex(4.7675, -0.1664)],
-                                     r0=1.62, spacing=5e-4)
+        # a tolerance below the solver's reach makes the search stall
+        result = find_kp_eigenvalues(TRAP, 1.0, [TRAP_SEED], r0=1.62, spacing=5e-4, tol=1e-18)
         assert result.eigenpairs == ()
         (failure,) = result.failures
         assert failure.reason == "did not converge"
-        assert failure.final_residual is not None and failure.final_residual > 1e-10
+        assert failure.final_residual is not None and failure.final_residual > 1e-18
+
+    def test_narrow_trap_state_converges_at_fine_spacing(self):
+        result = find_kp_eigenvalues(TRAP, 1.0, [TRAP_SEED], r0=1.62, spacing=5e-4)
+        assert result.failures == ()
+        (pair,) = result.eigenpairs
+        assert pair.residual_norm < 1e-10
+        rep = verify_width_dwell(pair)
+        assert rep.flags == ()
+        assert rep.relative_residual < 1e-8
+
+    @pytest.mark.parametrize("spacing", [2.5e-4, 1e-4])
+    def test_fine_spacing_converges_below_1e_12(self, sw10, spacing):
+        result = find_kp_eigenvalues(sw10, 1.0, [complex(1.17, -1.57)], r0=1.0, spacing=spacing)
+        assert result.failures == ()
+        (pair,) = result.eigenpairs
+        assert pair.residual_norm < 1e-12
+        assert abs(pair.w - SW_EIGENVALUE) < 1e-9
 
     def test_nonpositive_seed_energy_fails_in_self_consistent_mode(self, sw10):
         result = find_kp_eigenvalues(sw10, 1.0, [complex(-1.0, -0.5)], r0=1.0,
