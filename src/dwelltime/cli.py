@@ -11,16 +11,31 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 from .scenarios import bundled_regression_config, run_scenario
 
-_SUBCOMMANDS = {
-    "scatter": "scatter_scan",
-    "dwell": "dwell_scan",
-    "winful1d": "winful_1d",
-    "kp": "kp_find",
-    "threebody": "three_body",
-    "verify": "identity_suite",
+
+class Command(NamedTuple):
+    scenario: str
+    help: str
+    dump_flag: tuple[str, str] | None = None  # (flag, help) of the runner's dump option
+    bundled_config: bool = False  # --config may be omitted for the bundled regression model
+
+
+COMMANDS = {
+    "scatter": Command("scatter_scan", "phase-shift and amplitude scan over an energy range",
+                       ("--dump-wavefunction",
+                        "also write radial wave functions as CSV (r, Re phi, Im phi)")),
+    "dwell": Command("dwell_scan", "dwell/phase time report scan (CSV)"),
+    "winful1d": Command("winful_1d",
+                        "1-d barrier dwell time split into phase time plus self-interference"),
+    "kp": Command("kp_find", "outgoing-boundary complex eigenvalue search",
+                  ("--dump-eigenfunctions",
+                   "also write each eigenfunction as CSV (r, Re phi, Im phi)")),
+    "threebody": Command("three_body", "separable three-body dwell time and lifetime report"),
+    "verify": Command("identity_suite", "run every identity check against a model set",
+                      bundled_config=True),
 }
 
 
@@ -34,29 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "scatter": "phase-shift and amplitude scan over an energy range",
-        "dwell": "dwell/phase time report scan (CSV)",
-        "winful1d": "1-d barrier dwell time split into phase time plus self-interference",
-        "kp": "outgoing-boundary complex eigenvalue search",
-        "threebody": "separable three-body dwell time and lifetime report",
-        "verify": "run every identity check against a model set",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "verify":
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.bundled_config:
             p.add_argument("--config", default=None,
                            help="scenario config JSON (default: bundled regression model)")
         else:
             p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=None, help="directory for result files")
-        if name == "scatter":
-            p.add_argument("--dump-wavefunction", action="store_true",
-                           help="also write radial wave functions as CSV (r, Re phi, Im phi)")
-        if name == "kp":
-            p.add_argument("--dump-eigenfunctions", action="store_true",
-                           help="also write each eigenfunction as CSV (r, Re phi, Im phi)")
+        if command.dump_flag is not None:
+            flag, help_text = command.dump_flag
+            p.add_argument(flag, dest="dump", action="store_true", help=help_text)
     return parser
 
 
@@ -65,13 +68,9 @@ def main(argv=None) -> int:
     config = args.config
     if config is None:
         config = bundled_regression_config()
-    return run_scenario(
-        config,
-        out_dir=args.out,
-        scenario_override=_SUBCOMMANDS[args.command],
-        dump_wavefunction=getattr(args, "dump_wavefunction", False),
-        dump_eigenfunctions=getattr(args, "dump_eigenfunctions", False),
-    )
+    return run_scenario(config, out_dir=args.out,
+                        scenario_override=COMMANDS[args.command].scenario,
+                        dump=getattr(args, "dump", False))
 
 
 if __name__ == "__main__":

@@ -132,18 +132,6 @@ class RadialSolution:
         d[-1] = self.derivative_at_end
         return d
 
-    def derivative_at(self, r: float) -> complex:
-        i = self.grid.index_of(r)
-        if i is None:
-            raise DomainError(f"r = {r} is not a grid node")
-        return complex(self.derivatives[i])
-
-    def value_at(self, r: float) -> complex:
-        i = self.grid.index_of(r)
-        if i is None:
-            raise DomainError(f"r = {r} is not a grid node")
-        return complex(self.values[i])
-
     def rescaled(self, factor: complex) -> "RadialSolution":
         """A copy with values, derivatives and normalization scaled by factor."""
         out = replace(
@@ -402,12 +390,6 @@ class Barrier1DSolution:
     potential: PotentialSpec
     incident_flux: float
     flux_residual: float
-    _f: np.ndarray | None = None
-    _break_nodes: tuple = ()
-
-    @cached_property
-    def derivatives(self) -> np.ndarray:
-        return derivative_field(self.values, self._f, self.grid.spacing, self._break_nodes)
 
 
 def solve_barrier_1d(potential: PotentialSpec, energy: float, mass: float,
@@ -479,6 +461,4 @@ def solve_barrier_1d(potential: PotentialSpec, energy: float, mass: float,
         potential=potential,
         incident_flux=k / mass,
         flux_residual=float(flux_residual),
-        _f=f,
-        _break_nodes=(),
     )

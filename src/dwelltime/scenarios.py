@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -49,6 +49,7 @@ from .threebody import (
     three_body_dwell,
 )
 from .times import (
+    DEFAULT_E_MIN,
     TimeReport,
     dwell_time,
     kp_log_derivative_dwell,
@@ -59,17 +60,9 @@ from .times import (
     winful_decomposition_1d,
 )
 
-SCENARIOS = (
-    "scatter_scan",
-    "dwell_scan",
-    "winful_1d",
-    "kp_find",
-    "verify_eq10",
-    "three_body",
-    "identity_suite",
-)
-
-DEFAULT_TOLERANCES = {
+# Pass thresholds of the identity suite (verify).  They are pinned here:
+# a config cannot loosen a check.
+TOLERANCES = {
     "free_anchor": 1e-8,
     "phase_zero": 1e-10,
     "unitarity": 1e-10,
@@ -91,19 +84,21 @@ DEFAULT_TOLERANCES = {
     "continuity_order": 4.0,
 }
 
+# relative energy step of the identity checks' finite differences: the flat
+# part of the noise/truncation trade-off (the scans use DEFAULT_REL_STEP)
+IDENTITY_REL_STEP = 1e-3
 
-@dataclass
+
+@dataclass(frozen=True)
 class Numerics:
-    """Numerical knobs shared by the runners (all overridable per config)."""
+    """The numerics a config may set (``numerics`` block); the rest are library defaults.
+
+    ``k_fixed`` is set exactly when ``k_mode`` is ``"probe"``.
+    """
 
     grid_spacing: float = 1e-3
-    diff_step_rel: float = 1e-4
-    identity_diff_step_rel: float = 1e-3
-    e_min: float = 0.05
     k_mode: str = "self_consistent"
     k_fixed: float | None = None
-    root_tol: float = 1e-10
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +120,7 @@ def _expect(obj: dict, key: str, kinds, context: str, required: bool = True, def
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -137,34 +132,25 @@ def load_config(path) -> dict:
 
 
 def parse_numerics(obj: dict | None) -> Numerics:
-    num = Numerics()
     if obj is None:
-        return num
+        return Numerics()
     if not isinstance(obj, dict):
         raise ConfigurationError(f"numerics: expected object, got {type(obj).__name__}")
-    for key in ("grid_spacing", "diff_step_rel", "identity_diff_step_rel", "e_min", "root_tol"):
-        if key in obj:
-            value = _expect(obj, key, (int, float), "numerics")
-            if value <= 0:
-                raise ConfigurationError(f"numerics.{key}: must be positive")
-            setattr(num, key, float(value))
-    if "k_mode" in obj:
-        mode = _expect(obj, "k_mode", str, "numerics")
-        if mode not in ("self_consistent", "probe"):
-            raise ConfigurationError("numerics.k_mode: expected 'self_consistent' or 'probe'")
-        num.k_mode = mode
-    if "k_fixed" in obj and obj["k_fixed"] is not None:
-        num.k_fixed = float(_expect(obj, "k_fixed", (int, float), "numerics"))
-    tol = obj.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigurationError(f"numerics.tolerances: expected object, got {type(tol).__name__}")
-    for key, value in tol.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigurationError(f"numerics.tolerances: unknown check '{key}'")
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigurationError(f"numerics.tolerances.{key}: expected a positive number")
-        num.tolerances[key] = float(value)
-    return num
+    for key in obj:
+        if key not in ("grid_spacing", "k_mode", "k_fixed"):
+            raise ConfigurationError(
+                f"numerics.{key}: unknown key (expected grid_spacing, k_mode, k_fixed)")
+    spacing = _expect(obj, "grid_spacing", (int, float), "numerics", False, Numerics.grid_spacing)
+    if not 0.0 < spacing < math.inf:
+        raise ConfigurationError("numerics.grid_spacing: must be positive and finite")
+    mode = _expect(obj, "k_mode", str, "numerics", False, Numerics.k_mode)
+    if mode not in ("self_consistent", "probe"):
+        raise ConfigurationError("numerics.k_mode: expected 'self_consistent' or 'probe'")
+    k_fixed = _expect(obj, "k_fixed", (int, float), "numerics", False)
+    if (mode == "probe") != (k_fixed is not None):
+        raise ConfigurationError("numerics.k_fixed: required with k_mode 'probe', "
+                                 "and only allowed with it")
+    return Numerics(float(spacing), mode, None if k_fixed is None else float(k_fixed))
 
 
 def _parse_energy_range(obj: dict, context: str) -> np.ndarray:
@@ -190,12 +176,28 @@ def _parse_seeds(obj: dict, key: str, context: str):
     return seeds
 
 
-def _parse_potential(obj: dict, context: str) -> PotentialSpec:
-    raw = _expect(obj, "potential", dict, context)
+def _parse_seed_scan(obj: dict, context: str):
+    """``(e_range, n_scan)`` of the config's ``seed_scan``, or None without one."""
+    if "seed_scan" not in obj:
+        return None
+    scan = _expect(obj, "seed_scan", dict, context)
+    context += ".seed_scan"
+    rng = _expect(scan, "energy_range", list, context)
+    if len(rng) != 2 or not all(isinstance(x, (int, float)) for x in rng) \
+            or not 0.0 < rng[0] < rng[1] < math.inf:
+        raise ConfigurationError(f"{context}.energy_range: expected [E_lo, E_hi] with 0 < E_lo < E_hi")
+    n_scan = _expect(scan, "n_scan", int, context)
+    if n_scan < 3:
+        raise ConfigurationError(f"{context}.n_scan: expected an integer >= 3")
+    return (float(rng[0]), float(rng[1])), n_scan
+
+
+def _parse_potential(obj: dict, context: str, key: str = "potential") -> PotentialSpec:
+    raw = _expect(obj, key, dict, context)
     try:
         return PotentialSpec.from_dict(raw)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{context}.potential: {exc}") from exc
+        raise ConfigurationError(f"{context}.{key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +251,9 @@ def _out_path(config: dict, out_dir, default_name: str) -> Path:
     if not isinstance(name, str):
         raise ConfigurationError(f"output.path: expected string, got {type(name).__name__}")
     fmt = output.get("format")
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise ConfigurationError("output.format: expected 'csv' or 'json'")
+    written = Path(default_name).suffix[1:]
+    if fmt is not None and fmt != written:
+        raise ConfigurationError(f"output.format: this scenario writes {written}, got {fmt!r}")
     path = Path(name)
     if out_dir is not None and not path.is_absolute():
         path = Path(out_dir) / path
@@ -273,24 +276,24 @@ def _wave_rows(nodes: np.ndarray, values: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners (each returns a list of written file paths)
+# scenario runners: (config, out_dir, dump) -> (written files, exit status)
 
-def run_scatter_scan(config: dict, out_dir=None, dump_wavefunction=False) -> list[Path]:
+def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     potential = _parse_potential(config, "scatter_scan")
     mass = float(_expect(config, "mass", (int, float), "scatter_scan"))
     energies = _parse_energy_range(config, "scatter_scan")
     num = parse_numerics(config.get("numerics"))
     r0 = float(config.get("r0", potential.support_radius))
+    path = _out_path(config, out_dir, "scatter.csv")
 
     deltas, obs = phase_shift_scan(potential, energies, mass, r0=r0, spacing=num.grid_spacing)
     rows = [
         [e, o.k, d, o.s_amp.real, o.s_amp.imag, o.i_amp.real, o.i_amp.imag, o.unitarity_residual]
         for e, d, o in zip(energies, deltas, obs)
     ]
-    path = _out_path(config, out_dir, "scatter.csv")
     write_csv(path, ["E", "k", "delta", "re_S", "im_S", "re_I", "im_I", "unitarity_residual"], rows)
     written = [path]
-    if dump_wavefunction:
+    if dump:
         grid = RadialGrid.from_spacing(r0, num.grid_spacing)
         for idx, e in enumerate(energies):
             sol = integrate_radial(potential, float(e), mass, grid)
@@ -299,61 +302,37 @@ def run_scatter_scan(config: dict, out_dir=None, dump_wavefunction=False) -> lis
             written.append(wf_path)
     print(f"[scatter_scan] {len(energies)} energies, max |delta| = "
           f"{max(abs(d) for d in deltas):.6g} -> {path}")
-    return written
+    return written, 0
 
 
-def run_dwell_scan(config: dict, out_dir=None) -> list[Path]:
+def run_dwell_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     potential = _parse_potential(config, "dwell_scan")
     mass = float(_expect(config, "mass", (int, float), "dwell_scan"))
     energies = _parse_energy_range(config, "dwell_scan")
     num = parse_numerics(config.get("numerics"))
     r0 = float(config.get("r0", potential.support_radius))
-
-    reports = time_scan(potential, mass, energies, r0, spacing=num.grid_spacing,
-                        rel_step=num.diff_step_rel, e_min=num.e_min)
     path = _out_path(config, out_dir, "dwell.csv")
+
+    reports = time_scan(potential, mass, energies, r0, spacing=num.grid_spacing)
     write_csv(path, _TIME_COLUMNS, [_time_report_row(r) for r in reports])
     print(f"[dwell_scan] {len(reports)} energies on [0, {r0}] -> {path}")
-    return [path]
+    return [path], 0
 
 
-def run_winful_1d(config: dict, out_dir=None) -> list[Path]:
+def run_winful_1d(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     potential = _parse_potential(config, "winful_1d")
     mass = float(_expect(config, "mass", (int, float), "winful_1d"))
     energies = _parse_energy_range(config, "winful_1d")
     num = parse_numerics(config.get("numerics"))
-
-    reports = []
-    for e in energies:
-        barrier = solve_barrier_1d(potential, float(e), mass, spacing=num.grid_spacing)
-        reports.append(winful_decomposition_1d(barrier, rel_step=num.diff_step_rel,
-                                               e_min=num.e_min, tol=num.tolerances["winful"]))
     path = _out_path(config, out_dir, "winful.csv")
+
+    reports = [winful_decomposition_1d(solve_barrier_1d(potential, float(e), mass,
+                                                        spacing=num.grid_spacing))
+               for e in energies]
     write_csv(path, _TIME_COLUMNS, [_time_report_row(r) for r in reports])
     flagged = sum(1 for r in reports if "threshold_singular" in r.flags)
     print(f"[winful_1d] {len(reports)} energies ({flagged} threshold-flagged) -> {path}")
-    return [path]
-
-
-def _kp_pipeline(config: dict, context: str, num: Numerics):
-    potential = _parse_potential(config, context)
-    mass = float(_expect(config, "mass", (int, float), context))
-    r0 = float(config.get("r0", potential.support_radius))
-    seeds = _parse_seeds(config, "seeds", context) or []
-    scan_cfg = config.get("seed_scan")
-    if scan_cfg is not None:
-        if not isinstance(scan_cfg, dict):
-            raise ConfigurationError(f"{context}.seed_scan: expected object")
-        rng = _expect(scan_cfg, "energy_range", list, f"{context}.seed_scan")
-        n_scan = int(_expect(scan_cfg, "n_scan", (int, float), f"{context}.seed_scan"))
-        seeds = seeds + scan_resonance_seeds(potential, mass, (float(rng[0]), float(rng[1])),
-                                             n_scan, spacing=num.grid_spacing)
-    if not seeds:
-        raise SubsystemConvergenceError("kp", "no resonance seeds found")
-    k_fixed = num.k_fixed if num.k_mode == "probe" else None
-    result = find_kp_eigenvalues(potential, mass, seeds, r0, k_fixed=k_fixed,
-                                 spacing=num.grid_spacing, tol=num.root_tol)
-    return potential, mass, r0, result
+    return [path], 0
 
 
 def _eigenpair_payload(pair) -> dict:
@@ -367,9 +346,21 @@ def _eigenpair_payload(pair) -> dict:
     }
 
 
-def run_kp_find(config: dict, out_dir=None, dump_eigenfunctions=False) -> list[Path]:
+def run_kp_find(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     num = parse_numerics(config.get("numerics"))
-    potential, mass, r0, result = _kp_pipeline(config, "kp_find", num)
+    potential = _parse_potential(config, "kp_find")
+    mass = float(_expect(config, "mass", (int, float), "kp_find"))
+    r0 = float(config.get("r0", potential.support_radius))
+    seeds = _parse_seeds(config, "seeds", "kp_find") or []
+    scan = _parse_seed_scan(config, "kp_find")
+    path = _out_path(config, out_dir, "kp.json")
+
+    if scan is not None:
+        seeds += scan_resonance_seeds(potential, mass, *scan, spacing=num.grid_spacing)
+    if not seeds:
+        raise SubsystemConvergenceError("kp", "no resonance seeds found")
+    result = find_kp_eigenvalues(potential, mass, seeds, r0, k_fixed=num.k_fixed,
+                                 spacing=num.grid_spacing)
     if not result.eigenpairs:
         raise SubsystemConvergenceError(
             "kp", "no eigenvalue converged: " + "; ".join(f.reason for f in result.failures))
@@ -380,10 +371,9 @@ def run_kp_find(config: dict, out_dir=None, dump_eigenfunctions=False) -> list[P
             for f in result.failures
         ],
     }
-    path = _out_path(config, out_dir, "kp.json")
     write_json(path, payload)
     written = [path]
-    if dump_eigenfunctions:
+    if dump:
         for idx, pair in enumerate(result.eigenpairs):
             grid = pair.eigenfunction.grid
             ef_path = path.with_name(f"{path.stem}_eigenfunction_{idx:04d}.csv")
@@ -392,80 +382,45 @@ def run_kp_find(config: dict, out_dir=None, dump_eigenfunctions=False) -> list[P
             written.append(ef_path)
     print(f"[kp_find] {len(result.eigenpairs)} eigenpair(s), "
           f"{len(result.failures)} failed seed(s) -> {path}")
-    return written
-
-
-def run_verify_eq10(config: dict, out_dir=None) -> list[Path]:
-    num = parse_numerics(config.get("numerics"))
-    potential, mass, r0, result = _kp_pipeline(config, "verify_eq10", num)
-    if not result.eigenpairs:
-        raise SubsystemConvergenceError(
-            "kp", "no eigenvalue converged: " + "; ".join(f.reason for f in result.failures))
-    entries = []
-    worst = 0.0
-    for pair in result.eigenpairs:
-        entry = _eigenpair_payload(pair)
-        refined = find_kp_eigenvalues(potential, mass, [pair.w], r0,
-                                      k_fixed=None if num.k_mode == "self_consistent" else num.k_fixed,
-                                      spacing=num.grid_spacing / 2.0, tol=num.root_tol)
-        if refined.eigenpairs:
-            fine = verify_width_dwell(refined.eigenpairs[0]).relative_residual
-            entry["eq10_residual_half_spacing"] = fine
-            entry["refinement_ratio"] = (entry["eq10_relative_residual"] / fine
-                                         if fine > 0 else math.inf)
-        worst = max(worst, entry["eq10_relative_residual"])
-        entries.append(entry)
-    payload = {"eigenpairs": entries, "max_eq10_relative_residual": worst}
-    path = _out_path(config, out_dir, "eq10.json")
-    write_json(path, payload)
-    print(f"[verify_eq10] {len(entries)} eigenpair(s), worst residual {worst:.3e} -> {path}")
-    return [path]
+    return written, 0
 
 
 def _three_body_from_config(config: dict, num: Numerics, context: str = "three_body"):
     masses = _expect(config, "masses", list, context)
     if len(masses) != 3 or not all(isinstance(m, (int, float)) for m in masses):
         raise ConfigurationError(f"{context}.masses: expected [m1, m2, m3]")
-    raw_r = _expect(config, "potential_r", dict, context)
-    raw_rho = _expect(config, "potential_rho", dict, context)
-    v_r = PotentialSpec.from_dict(raw_r)
-    v_rho = PotentialSpec.from_dict(raw_rho)
+    v_r = _parse_potential(config, context, "potential_r")
+    v_rho = _parse_potential(config, context, "potential_rho")
     r_chi = float(_expect(config, "r_chi", (int, float), context))
     rho_phi = float(_expect(config, "rho_phi", (int, float), context))
     model = build_three_body(masses, v_r, v_rho, r_chi, rho_phi)
+    scan = _parse_seed_scan(config, context)
 
     def channel_seeds(key: str, pot, mu):
         explicit = _parse_seeds(config, key, context)
         if explicit:
             return explicit
-        scan_cfg = config.get("seed_scan")
-        if scan_cfg is None:
+        if scan is None:
             raise ConfigurationError(f"{context}: need '{key}' or 'seed_scan'")
-        rng = _expect(scan_cfg, "energy_range", list, f"{context}.seed_scan")
-        n_scan = int(_expect(scan_cfg, "n_scan", (int, float), f"{context}.seed_scan"))
-        return scan_resonance_seeds(pot, mu, (float(rng[0]), float(rng[1])), n_scan,
-                                    spacing=num.grid_spacing)
+        return scan_resonance_seeds(pot, mu, *scan, spacing=num.grid_spacing)
 
     seeds_r = channel_seeds("seeds_r", model.v_r, model.mu1)
     seeds_rho = channel_seeds("seeds_rho", model.v_rho, model.mu2)
     eig_r, eig_rho = solve_subsystems(
         model, seeds_r, seeds_rho, k_mode=num.k_mode,
-        k_fixed_r=num.k_fixed, k_fixed_rho=num.k_fixed,
-        spacing=num.grid_spacing, tol=num.root_tol)
+        k_fixed_r=num.k_fixed, k_fixed_rho=num.k_fixed, spacing=num.grid_spacing)
     return model, eig_r, eig_rho
 
 
-def run_three_body(config: dict, out_dir=None) -> list[Path]:
+def run_three_body(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     num = parse_numerics(config.get("numerics"))
-    model, eig_r, eig_rho = _three_body_from_config(config, num)
-    report = three_body_dwell(model, eig_r, eig_rho,
-                              factorization_tol=num.tolerances["factorization"],
-                              lifetime_tol=num.tolerances["lifetime_match"])
     path = _out_path(config, out_dir, "threebody.json")
+    model, eig_r, eig_rho = _three_body_from_config(config, num)
+    report = three_body_dwell(model, eig_r, eig_rho)
     write_json(path, report.to_dict())
     print(f"[three_body] tau_3b = {report.tau_3b:.9g}, tau_R = {report.tau_r:.9g}, "
           f"identity residual {report.identity_residual:.3e} -> {path}")
-    return [path]
+    return [path], 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +455,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     mass = float(_expect(model_cfg, "mass", (int, float), "models.radial"))
     energies = _parse_energy_range(model_cfg, "models.radial")
     r0 = float(model_cfg.get("r0", 2.0 * potential.support_radius))
-    tol = num.tolerances
+    tol = TOLERANCES
     out: list[CheckResult] = []
 
     # free anchor: a flat zero barrier of the same extent must give tau = L/v
@@ -514,13 +469,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
 
     deltas, obs = phase_shift_scan(potential, energies, mass, r0=r0, spacing=num.grid_spacing)
     if potential.is_free():
-        # matched at the support edge on a moderate grid: the recurrence
-        # roundoff floor grows with both node count and matching radius
-        zero_deltas, _ = phase_shift_scan(potential, energies, mass,
-                                          r0=potential.support_radius,
-                                          spacing=max(num.grid_spacing, 2e-3))
-        out.append(_check_le("phase_shift_zero",
-                             float(np.max(np.abs(zero_deltas))), tol["phase_zero"]))
+        out.append(_check_le("phase_shift_zero", float(np.max(np.abs(deltas))), tol["phase_zero"]))
     out.append(_check_le("unitarity_scan",
                          max(o.unitarity_residual for o in obs), tol["unitarity"]))
 
@@ -535,7 +484,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
         mismatch = max(mismatch, min(diff, abs(diff - math.pi)))
     out.append(_check_le("matching_radius_independence", mismatch, tol["matching_radius"]))
 
-    rel = num.identity_diff_step_rel
+    rel = IDENTITY_REL_STEP
     worst_ld = 0.0
     worst_og = 0.0
     for e in energies[:: max(1, len(energies) // 8)]:
@@ -579,7 +528,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                                tol["width_dwell_refinement"], True, skipped=reason))
         return out
     found = find_kp_eigenvalues(potential, mass, seeds, kp_r0,
-                                spacing=num.grid_spacing, tol=num.root_tol)
+                                spacing=num.grid_spacing)
     if not found.eigenpairs:
         out.append(CheckResult("width_dwell_identity", math.inf, tol["width_dwell"], False))
         return out
@@ -589,7 +538,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     pair = found.eigenpairs[0]
     coarse_res = verify_width_dwell(pair).relative_residual
     refined = find_kp_eigenvalues(potential, mass, [pair.w], kp_r0,
-                                  spacing=num.grid_spacing / 2.0, tol=num.root_tol)
+                                  spacing=num.grid_spacing / 2.0)
     if refined.eigenpairs:
         fine_res = verify_width_dwell(refined.eigenpairs[0]).relative_residual
         ratio = coarse_res / fine_res if fine_res > 0 else math.inf
@@ -604,29 +553,27 @@ def _barrier_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     potential = _parse_potential(model_cfg, "models.barrier")
     mass = float(_expect(model_cfg, "mass", (int, float), "models.barrier"))
     energies = _parse_energy_range(model_cfg, "models.barrier")
-    tol = num.tolerances
+    tol = TOLERANCES
     out: list[CheckResult] = []
 
     results = []
-    for e in energies[energies >= num.e_min]:
+    for e in energies[energies >= DEFAULT_E_MIN]:
         barrier = solve_barrier_1d(potential, float(e), mass, spacing=num.grid_spacing)
-        rep = winful_decomposition_1d(barrier, rel_step=num.identity_diff_step_rel,
-                                      e_min=num.e_min, tol=tol["winful"])
+        rep = winful_decomposition_1d(barrier, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
         results.append((barrier.flux_residual, rep))
     out.append(_check_le("flux_conservation", max(r[0] for r in results), tol["flux"]))
     out.append(_check_le("winful_identity",
                          max(abs(r[1].winful_residual) for r in results), tol["winful"]))
 
     low = solve_barrier_1d(potential, 0.01, mass, spacing=num.grid_spacing)
-    low_rep = winful_decomposition_1d(low, rel_step=num.identity_diff_step_rel,
-                                      e_min=num.e_min, tol=tol["winful"])
+    low_rep = winful_decomposition_1d(low, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
     flagged = 1.0 if "threshold_singular" in low_rep.flags else 0.0
     out.append(_check_ge("winful_threshold_flag", flagged, 1.0))
     return out
 
 
 def _three_body_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
-    tol = num.tolerances
+    tol = TOLERANCES
     model, eig_r, eig_rho = _three_body_from_config(model_cfg, num, context="models.three_body")
     report = three_body_dwell(model, eig_r, eig_rho,
                               factorization_tol=tol["factorization"],
@@ -652,7 +599,7 @@ def _three_body_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                          tol["continuity"]))
     coarse_r, coarse_rho = solve_subsystems(
         model, [eig_r.w], [eig_rho.w], k_mode=num.k_mode,
-        spacing=2.0 * num.grid_spacing, tol=num.root_tol)
+        k_fixed_r=num.k_fixed, k_fixed_rho=num.k_fixed, spacing=2.0 * num.grid_spacing)
     cont_coarse = continuity_residual(coarse_r, coarse_rho)
     ratio = (cont_coarse.balance_max / cont.balance_max
              if cont.balance_max > 0 else math.inf)
@@ -660,25 +607,22 @@ def _three_body_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     return out
 
 
-def verify_all(config: dict, out_dir=None) -> tuple[dict, int]:
+def run_identity_suite(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int]:
     """Run every applicable identity check against the configured model set."""
     models = _expect(config, "models", dict, "identity_suite")
     num = parse_numerics(config.get("numerics"))
+    path = _out_path(config, out_dir, "verify_report.json")
 
     checks: list[CheckResult] = []
-    if "radial" in models:
-        checks.extend(_radial_checks(_expect(models, "radial", dict, "models"), num))
-    if "barrier" in models:
-        checks.extend(_barrier_checks(_expect(models, "barrier", dict, "models"), num))
-    if "three_body" in models:
-        checks.extend(_three_body_checks(_expect(models, "three_body", dict, "models"), num))
+    for key, model_checks in (("radial", _radial_checks), ("barrier", _barrier_checks),
+                              ("three_body", _three_body_checks)):
+        if key in models:
+            checks.extend(model_checks(_expect(models, key, dict, "models"), num))
     if not checks:
         raise ConfigurationError("models: need at least one of 'radial', 'barrier', 'three_body'")
 
-    report = {c.name: c.payload() for c in checks}
     failed = [c for c in checks if c.skipped is None and not c.passed]
-    path = _out_path(config, out_dir, "verify_report.json")
-    write_json(path, report)
+    write_json(path, {c.name: c.payload() for c in checks})
     for c in checks:
         if c.skipped is not None:
             print(f"[verify] {c.name}: SKIPPED ({c.skipped})")
@@ -687,7 +631,18 @@ def verify_all(config: dict, out_dir=None) -> tuple[dict, int]:
             print(f"[verify] {c.name}: {'PASS' if c.passed else 'FAIL'} "
                   f"(value {c.value:.6g} {rel} {c.tolerance:.6g})")
     print(f"[verify] {len(checks) - len(failed)}/{len(checks)} checks passed -> {path}")
-    return report, (0 if not failed else 2)
+    return [path], (0 if not failed else 2)
+
+
+# every scenario a config may name; cli.COMMANDS maps each subcommand to one
+RUNNERS = {
+    "scatter_scan": run_scatter_scan,
+    "dwell_scan": run_dwell_scan,
+    "winful_1d": run_winful_1d,
+    "kp_find": run_kp_find,
+    "three_body": run_three_body,
+    "identity_suite": run_identity_suite,
+}
 
 
 def bundled_regression_config() -> Path:
@@ -696,41 +651,26 @@ def bundled_regression_config() -> Path:
 
 
 def run_scenario(config_path, out_dir=None, scenario_override: str | None = None,
-                 dump_wavefunction: bool = False, dump_eigenfunctions: bool = False) -> int:
-    """Execute a scenario config; returns the process exit status."""
+                 dump: bool = False) -> int:
+    """Execute a scenario config; returns the process exit status.
+
+    ``dump`` also writes the runner's per-state files (wave functions for
+    ``scatter_scan``, eigenfunctions for ``kp_find``); other runners have none.
+    """
     started = time.monotonic()
     try:
         config = load_config(config_path)
         scenario = config.get("scenario", scenario_override)
-        if scenario_override is not None:
-            if scenario is not None and scenario != scenario_override:
-                raise ConfigurationError(
-                    f"config names scenario '{scenario}' but the subcommand expects "
-                    f"'{scenario_override}'")
-            scenario = scenario_override
-        if scenario not in SCENARIOS:
+        if scenario_override is not None and scenario != scenario_override:
             raise ConfigurationError(
-                f"scenario: expected one of {', '.join(SCENARIOS)}, got {scenario!r}")
-
-        if scenario == "scatter_scan":
-            files = run_scatter_scan(config, out_dir, dump_wavefunction)
-        elif scenario == "dwell_scan":
-            files = run_dwell_scan(config, out_dir)
-        elif scenario == "winful_1d":
-            files = run_winful_1d(config, out_dir)
-        elif scenario == "kp_find":
-            files = run_kp_find(config, out_dir, dump_eigenfunctions)
-        elif scenario == "verify_eq10":
-            files = run_verify_eq10(config, out_dir)
-        elif scenario == "three_body":
-            files = run_three_body(config, out_dir)
-        else:
-            report, status = verify_all(config, out_dir)
-            files = [_out_path(config, out_dir, "verify_report.json")]
-            write_sidecar(files[0], config, time.monotonic() - started)
-            return status
+                f"config names scenario '{scenario}' but the subcommand expects "
+                f"'{scenario_override}'")
+        if scenario not in RUNNERS:
+            raise ConfigurationError(
+                f"scenario: expected one of {', '.join(RUNNERS)}, got {scenario!r}")
+        files, status = RUNNERS[scenario](config, out_dir, dump)
         write_sidecar(files[0], config, time.monotonic() - started)
-        return 0
+        return status
     except ConfigurationError as exc:
         print(f"error: {exc}")
         return 1

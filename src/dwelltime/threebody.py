@@ -40,7 +40,7 @@ from .errors import (
 )
 from .numerics import fd_derivative_field
 from .potentials import PotentialSpec
-from .resonance import ResonanceEigenpair, find_kp_eigenvalues
+from .resonance import DEFAULT_ROOT_TOL, ResonanceEigenpair, find_kp_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,18 @@ def build_three_body(masses, v_r: PotentialSpec, v_rho: PotentialSpec,
 def solve_subsystems(model: ThreeBodyModel, seeds_r, seeds_rho,
                      k_mode: str = "self_consistent",
                      k_fixed_r: float | None = None, k_fixed_rho: float | None = None,
-                     spacing: float | None = None, tol: float = 1e-10):
+                     spacing: float | None = None, tol: float = DEFAULT_ROOT_TOL):
     """Solve both channel eigenproblems; lowest-Re-W eigenpair per channel.
 
     The r channel runs (V_r, mu1) on [0, r_chi], the rho channel
     (V_rho, mu2) on [0, rho_phi].  A channel with no converged eigenpair
-    raises a composite error naming the channel.
+    raises a composite error naming the channel.  Probe mode needs both
+    ``k_fixed_r`` and ``k_fixed_rho``.
     """
     if k_mode not in ("self_consistent", "probe"):
         raise ConfigurationError(f"unknown k mode {k_mode!r}")
+    if k_mode == "probe" and (k_fixed_r is None or k_fixed_rho is None):
+        raise ConfigurationError("probe k mode needs k_fixed_r and k_fixed_rho")
     channels = (
         ("r", model.v_r, model.mu1, model.r_chi, k_fixed_r, seeds_r),
         ("rho", model.v_rho, model.mu2, model.rho_phi, k_fixed_rho, seeds_rho),
@@ -265,7 +268,6 @@ class ContinuityReport:
     channel_max_rho: float
     integrated_residual_r: float
     integrated_residual_rho: float
-    t_samples: tuple[float, ...]
 
 
 def _channel_fields(eig: ResonanceEigenpair):
@@ -279,8 +281,7 @@ def _channel_fields(eig: ResonanceEigenpair):
     return density, current, div_current, h, sol._break_nodes
 
 
-def continuity_residual(eig_r: ResonanceEigenpair, eig_rho: ResonanceEigenpair,
-                        t_samples=(0.0,)) -> ContinuityReport:
+def continuity_residual(eig_r: ResonanceEigenpair, eig_rho: ResonanceEigenpair) -> ContinuityReport:
     """Evaluate the generalized balance and per-channel continuity residuals."""
     gamma_r_total = eig_r.gamma + eig_rho.gamma
 
@@ -305,10 +306,6 @@ def continuity_residual(eig_r: ResonanceEigenpair, eig_rho: ResonanceEigenpair,
     int_r = abs(eig_r.gamma * n_chi - eig_r.boundary_current()) / (eig_r.gamma * n_chi)
     int_rho = abs(eig_rho.gamma * n_phi - eig_rho.boundary_current()) / (eig_rho.gamma * n_phi)
 
-    for t in t_samples:
-        if not math.isfinite(float(t)):
-            raise ConfigurationError("t samples must be finite")
-
     return ContinuityReport(
         balance_max=float(np.max(np.abs(balance))),
         balance_scale=balance_scale,
@@ -316,5 +313,4 @@ def continuity_residual(eig_r: ResonanceEigenpair, eig_rho: ResonanceEigenpair,
         channel_max_rho=float(np.max(np.abs(res_rho))),
         integrated_residual_r=float(int_r),
         integrated_residual_rho=float(int_rho),
-        t_samples=tuple(float(t) for t in t_samples),
     )

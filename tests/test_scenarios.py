@@ -1,13 +1,18 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dwelltime.cli import main
+import dwelltime.scenarios as scenarios
+from dwelltime.cli import COMMANDS, main
 from dwelltime.errors import ConfigurationError
+from dwelltime.potentials import PotentialSpec
+from dwelltime.radial import phase_shift_scan
 from dwelltime.scenarios import (
+    RUNNERS,
     Numerics,
     bundled_regression_config,
     load_config,
@@ -32,6 +37,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/config.json")
 
+    def test_directory_is_not_a_config(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not found"):
+            load_config(tmp_path)
+
     def test_invalid_json_named(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -48,20 +57,21 @@ class TestConfigParsing:
         assert run_scenario(cfg2) == 1  # missing 'mass'
 
     def test_numerics_validation(self):
-        with pytest.raises(ConfigurationError, match="grid_spacing"):
-            parse_numerics({"grid_spacing": -1.0})
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="grid_spacing"):
+                parse_numerics({"grid_spacing": bad})
         with pytest.raises(ConfigurationError, match="k_mode"):
             parse_numerics({"k_mode": "magic"})
-        with pytest.raises(ConfigurationError, match="unknown check"):
-            parse_numerics({"tolerances": {"bogus": 1.0}})
-        num = parse_numerics({"grid_spacing": 0.002, "tolerances": {"winful": 1e-5}})
-        assert num.grid_spacing == 0.002
-        assert num.tolerances["winful"] == 1e-5
-        assert num.tolerances["flux"] == Numerics().tolerances["flux"]
+        with pytest.raises(ConfigurationError, match="tolerances"):
+            parse_numerics({"tolerances": {"winful": 1e-5}})
+        assert parse_numerics({"grid_spacing": 0.002}) == Numerics(grid_spacing=0.002)
+        assert parse_numerics({"k_mode": "probe", "k_fixed": 1.5}) == Numerics(1e-3, "probe", 1.5)
+        assert parse_numerics(None) == Numerics()
 
     def test_unknown_scenario_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"scenario": "warp_drive"})
-        assert run_scenario(cfg) == 1
+        for name in ("warp_drive", "verify_eq10"):
+            cfg = write_config(tmp_path, {"scenario": name})
+            assert run_scenario(cfg) == 1
 
     def test_subcommand_scenario_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "dwell_scan", "potential": FREE,
@@ -178,17 +188,6 @@ class TestKPScenarios:
         assert run_scenario(cfg, out_dir=tmp_path) == 2
         assert "no resonance seeds found" in capsys.readouterr().out
 
-    def test_verify_eq10_scenario(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "scenario": "verify_eq10", "potential": SW, "mass": 1.0, "r0": 1.0,
-            "seeds": [[1.17, -1.57]], "output": {"path": "eq10.json"},
-        })
-        assert run_scenario(cfg, out_dir=tmp_path) == 0
-        payload = json.loads((tmp_path / "eq10.json").read_text())
-        assert payload["max_eq10_relative_residual"] < 1e-8
-        (entry,) = payload["eigenpairs"]
-        assert entry["refinement_ratio"] >= 8.0
-
 
 class TestThreeBodyScenario:
     def test_json_report_keys(self, tmp_path):
@@ -259,3 +258,134 @@ def test_bundled_config_is_packaged():
     assert path.exists()
     payload = json.loads(path.read_text())
     assert payload["scenario"] == "identity_suite"
+
+
+def kp_config(**extra) -> dict:
+    return {"scenario": "kp_find", "potential": SW, "mass": 1.0, "r0": 1.0,
+            "seeds": [[1.17, -1.57]], **extra}
+
+
+THREE_BODY = {"masses": [4.0, 4.0, 1.0], "potential_r": SW, "potential_rho": SW,
+              "r_chi": 2.0, "rho_phi": 2.0}
+
+
+def three_body_config(**extra) -> dict:
+    return {"scenario": "three_body", **THREE_BODY, **extra}
+
+
+def rejected(tmp_path, capsys, payload: dict) -> str:
+    """Run a config that must be refused with exit 1; return the printed message."""
+    cfg = write_config(tmp_path, payload)
+    assert run_scenario(cfg, out_dir=tmp_path / "out") == 1
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().out
+
+
+class TestConfigContract:
+    """A config key either does something or is rejected with exit 1, naming the key."""
+
+    @pytest.mark.parametrize("numerics,key", [
+        ({"grid_spacnig": 0.5}, "grid_spacnig"),
+        ({"diff_step_rel": 1e-4}, "diff_step_rel"),
+        ({"identity_diff_step_rel": 1e-3}, "identity_diff_step_rel"),
+        ({"e_min": 0.05}, "e_min"),
+        ({"root_tol": 1e-10}, "root_tol"),
+        ({"tolerances": {"width_dwell": 1.0}}, "tolerances"),
+        ({"k_mode": "probe"}, "k_fixed"),
+        ({"k_fixed": 1.3}, "k_fixed"),
+        ({"k_mode": "self_consistent", "k_fixed": 1.3}, "k_fixed"),
+    ])
+    def test_numerics_keys(self, tmp_path, capsys, numerics, key):
+        out = rejected(tmp_path, capsys, kp_config(numerics=numerics))
+        assert f"numerics.{key}" in out
+
+    @pytest.mark.parametrize("seed_scan,key", [
+        ({"energy_range": ["low", 8.0], "n_scan": 40}, "seed_scan.energy_range"),
+        ({"energy_range": [0.1], "n_scan": 40}, "seed_scan.energy_range"),
+        ({"energy_range": [8.0, 0.1], "n_scan": 40}, "seed_scan.energy_range"),
+        ({"energy_range": [0.0, 8.0], "n_scan": 40}, "seed_scan.energy_range"),
+        ({"energy_range": [0.1, math.inf], "n_scan": 40}, "seed_scan.energy_range"),
+        ({"energy_range": [0.1, 8.0], "n_scan": 2}, "seed_scan.n_scan"),
+        ({"energy_range": [0.1, 8.0], "n_scan": 40.5}, "seed_scan.n_scan"),
+        ({"energy_range": [0.1, 8.0]}, "n_scan"),
+        ([0.1, 8.0, 40], "seed_scan"),
+    ])
+    @pytest.mark.parametrize("make", [kp_config, three_body_config], ids=["kp", "threebody"])
+    def test_seed_scan(self, tmp_path, capsys, make, seed_scan, key):
+        assert key in rejected(tmp_path, capsys, make(seed_scan=seed_scan))
+
+    @pytest.mark.parametrize("payload", [
+        {"scenario": "scatter_scan", "potential": SW, "mass": 1.0,
+         "energy_range": [0.5, 1.0, 2], "output": {"format": "json"}},
+        kp_config(output={"path": "kp.json", "format": "csv"}),
+        {"scenario": "identity_suite", "models": {}, "output": {"format": "csv"}},
+    ])
+    def test_output_format_must_match_the_written_file(self, tmp_path, capsys, payload):
+        assert "output.format" in rejected(tmp_path, capsys, payload)
+
+    def test_three_body_potential_error_names_its_key(self, tmp_path, capsys):
+        payload = three_body_config(seeds_r=[[0.8, -0.6]], seeds_rho=[[1.4, -1.0]])
+        payload["potential_rho"] = {"kind": "square_wel", "params": {}}
+        assert "three_body.potential_rho" in rejected(tmp_path, capsys, payload)
+
+
+def test_every_runner_is_reached_by_exactly_one_subcommand():
+    assert sorted(command.scenario for command in COMMANDS.values()) == sorted(RUNNERS)
+
+
+def test_readme_config_examples_run(tmp_path):
+    # every documented config passes the runners' own validation, so a
+    # removed or renamed key cannot linger in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    subcommand = {command.scenario: name for name, command in COMMANDS.items()}
+    for i, block in enumerate(blocks):
+        payload = json.loads(block)
+        cfg = write_config(tmp_path, payload, name=f"readme_{i}.json")
+        argv = [subcommand[payload["scenario"]], "--config", str(cfg), "--out", str(tmp_path / str(i))]
+        assert main(argv) == 0, block
+
+
+def test_verify_probe_mode_coarse_solve_keeps_k_fixed(tmp_path, monkeypatch):
+    # the continuity-order check compares two grids; both must solve the same
+    # probe-mode eigenproblem, not fall back to a self-consistent k on one
+    solves = []
+
+    def recording(*args, **kwargs):
+        pairs = solve_subsystems(*args, **kwargs)
+        solves.append(pairs)
+        return pairs
+
+    solve_subsystems = scenarios.solve_subsystems
+    monkeypatch.setattr(scenarios, "solve_subsystems", recording)
+    cfg = write_config(tmp_path, {
+        "scenario": "identity_suite",
+        "models": {"three_body": {**THREE_BODY, "seeds_r": [[0.8, -0.6]],
+                                  "seeds_rho": [[1.4, -1.0]]}},
+        "numerics": {"k_mode": "probe", "k_fixed": 1.3},
+        "output": {"path": "report.json"},
+    })
+    assert run_scenario(cfg, out_dir=tmp_path) == 0
+    (fine_r, fine_rho), (coarse_r, coarse_rho) = solves
+    for fine, coarse in ((fine_r, coarse_r), (fine_rho, coarse_rho)):
+        assert fine.k_fixed == coarse.k_fixed == 1.3
+        assert abs(fine.w - coarse.w) < 1e-6
+    assert fine_r.eigenfunction.grid.spacing * 2.0 == coarse_r.eigenfunction.grid.spacing
+
+
+def test_free_phase_check_reads_the_configured_scan(tmp_path):
+    # matched at r0 = 5 on the configured 1e-3 grid, max |delta| is about
+    # 2e-11; a separate scan on a 2e-3 grid would read about 3e-10
+    cfg = write_config(tmp_path, {
+        "scenario": "identity_suite",
+        "models": {"radial": {"potential": FREE, "mass": 1.0,
+                              "energy_range": [0.1, 10.0, 25], "r0": 5.0}},
+        "output": {"path": "report.json"},
+    })
+    run_scenario(cfg, out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    deltas, _ = phase_shift_scan(PotentialSpec.from_dict(FREE), np.linspace(0.1, 10.0, 25), 1.0,
+                                 r0=5.0, spacing=1e-3)
+    assert report["phase_shift_zero"]["value"] == float(np.max(np.abs(deltas)))
+    assert report["phase_shift_zero"]["pass"]

@@ -95,6 +95,14 @@ class TestSolveSubsystems:
         with pytest.raises(SubsystemConvergenceError, match="rho"):
             solve_subsystems(broken, [SEED_R], [], spacing=1e-3)
 
+    def test_probe_mode_needs_both_fixed_wavenumbers(self, model):
+        # without them the channels would silently run self-consistently
+        with pytest.raises(ConfigurationError, match="k_fixed"):
+            solve_subsystems(model, [SEED_R], [SEED_RHO], k_mode="probe", spacing=1e-3)
+        with pytest.raises(ConfigurationError, match="k_fixed"):
+            solve_subsystems(model, [SEED_R], [SEED_RHO], k_mode="probe",
+                             k_fixed_r=1.3, spacing=1e-3)
+
 
 class TestWidth:
     def test_total_width_is_sum_of_channel_widths(self, eigenpairs):
@@ -229,7 +237,3 @@ class TestContinuity:
         direct = abs(eig_r.gamma * eig_r.norm() - eig_r.boundary_current()) / (
             eig_r.gamma * eig_r.norm())
         assert cont.integrated_residual_r == pytest.approx(direct, rel=1e-12)
-
-    def test_time_samples_must_be_finite(self, eigenpairs):
-        with pytest.raises(ConfigurationError):
-            continuity_residual(*eigenpairs, t_samples=(math.inf,))
