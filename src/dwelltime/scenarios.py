@@ -44,7 +44,6 @@ from .resonance import (
 from .threebody import (
     build_three_body,
     continuity_residual,
-    factorization_residual,
     solve_subsystems,
     three_body_dwell,
 )
@@ -104,16 +103,23 @@ class Numerics:
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _is_number(x) -> bool:
+    """A JSON number; ``true`` and ``false`` are not, although bool subclasses int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _expect(obj: dict, key: str, kinds, context: str, required: bool = True, default=None):
     if key not in obj:
         if required:
             raise ConfigurationError(f"{context}: missing key '{key}'")
         return default
     value = obj[key]
-    if not isinstance(value, kinds):
-        names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    numeric = int in kinds or float in kinds
+    if not isinstance(value, kinds) or (numeric and not _is_number(value)):
         raise ConfigurationError(
-            f"{context}.{key}: expected {names}, got {type(value).__name__}"
+            f"{context}.{key}: expected {'/'.join(k.__name__ for k in kinds)}, "
+            f"got {type(value).__name__}"
         )
     return value
 
@@ -155,7 +161,7 @@ def parse_numerics(obj: dict | None) -> Numerics:
 
 def _parse_energy_range(obj: dict, context: str) -> np.ndarray:
     rng = _expect(obj, "energy_range", list, context)
-    if len(rng) != 3 or not all(isinstance(x, (int, float)) for x in rng):
+    if len(rng) != 3 or not all(_is_number(x) for x in rng):
         raise ConfigurationError(f"{context}.energy_range: expected [E_lo, E_hi, n_points]")
     lo, hi, n = float(rng[0]), float(rng[1]), int(rng[2])
     if not (0.0 < lo < hi) or n < 2:
@@ -170,7 +176,7 @@ def _parse_seeds(obj: dict, key: str, context: str):
     seeds = []
     for i, pair in enumerate(raw):
         if (not isinstance(pair, list)) or len(pair) != 2 \
-                or not all(isinstance(x, (int, float)) for x in pair):
+                or not all(_is_number(x) for x in pair):
             raise ConfigurationError(f"{context}.{key}[{i}]: expected [Re W, Im W]")
         seeds.append(complex(pair[0], pair[1]))
     return seeds
@@ -183,7 +189,7 @@ def _parse_seed_scan(obj: dict, context: str):
     scan = _expect(obj, "seed_scan", dict, context)
     context += ".seed_scan"
     rng = _expect(scan, "energy_range", list, context)
-    if len(rng) != 2 or not all(isinstance(x, (int, float)) for x in rng) \
+    if len(rng) != 2 or not all(_is_number(x) for x in rng) \
             or not 0.0 < rng[0] < rng[1] < math.inf:
         raise ConfigurationError(f"{context}.energy_range: expected [E_lo, E_hi] with 0 < E_lo < E_hi")
     n_scan = _expect(scan, "n_scan", int, context)
@@ -283,7 +289,7 @@ def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path]
     mass = float(_expect(config, "mass", (int, float), "scatter_scan"))
     energies = _parse_energy_range(config, "scatter_scan")
     num = parse_numerics(config.get("numerics"))
-    r0 = float(config.get("r0", potential.support_radius))
+    r0 = float(_expect(config, "r0", (int, float), "scatter_scan", False, potential.support_radius))
     path = _out_path(config, out_dir, "scatter.csv")
 
     deltas, obs = phase_shift_scan(potential, energies, mass, r0=r0, spacing=num.grid_spacing)
@@ -310,7 +316,7 @@ def run_dwell_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path], 
     mass = float(_expect(config, "mass", (int, float), "dwell_scan"))
     energies = _parse_energy_range(config, "dwell_scan")
     num = parse_numerics(config.get("numerics"))
-    r0 = float(config.get("r0", potential.support_radius))
+    r0 = float(_expect(config, "r0", (int, float), "dwell_scan", False, potential.support_radius))
     path = _out_path(config, out_dir, "dwell.csv")
 
     reports = time_scan(potential, mass, energies, r0, spacing=num.grid_spacing)
@@ -350,7 +356,7 @@ def run_kp_find(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int
     num = parse_numerics(config.get("numerics"))
     potential = _parse_potential(config, "kp_find")
     mass = float(_expect(config, "mass", (int, float), "kp_find"))
-    r0 = float(config.get("r0", potential.support_radius))
+    r0 = float(_expect(config, "r0", (int, float), "kp_find", False, potential.support_radius))
     seeds = _parse_seeds(config, "seeds", "kp_find") or []
     scan = _parse_seed_scan(config, "kp_find")
     path = _out_path(config, out_dir, "kp.json")
@@ -387,7 +393,7 @@ def run_kp_find(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int
 
 def _three_body_from_config(config: dict, num: Numerics, context: str = "three_body"):
     masses = _expect(config, "masses", list, context)
-    if len(masses) != 3 or not all(isinstance(m, (int, float)) for m in masses):
+    if len(masses) != 3 or not all(_is_number(m) for m in masses):
         raise ConfigurationError(f"{context}.masses: expected [m1, m2, m3]")
     v_r = _parse_potential(config, context, "potential_r")
     v_rho = _parse_potential(config, context, "potential_rho")
@@ -454,7 +460,8 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     potential = _parse_potential(model_cfg, "models.radial")
     mass = float(_expect(model_cfg, "mass", (int, float), "models.radial"))
     energies = _parse_energy_range(model_cfg, "models.radial")
-    r0 = float(model_cfg.get("r0", 2.0 * potential.support_radius))
+    r0 = float(_expect(model_cfg, "r0", (int, float), "models.radial", False,
+                       2.0 * potential.support_radius))
     tol = TOLERANCES
     out: list[CheckResult] = []
 
@@ -516,7 +523,7 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                                True, skipped="not applicable: free potential has no resonances"))
         return out
 
-    kp_r0 = float(model_cfg.get("kp_r0", support))
+    kp_r0 = float(_expect(model_cfg, "kp_r0", (int, float), "models.radial", False, support))
     seeds = _parse_seeds(model_cfg, "kp_seeds", "models.radial") or []
     seeds += scan_resonance_seeds(potential, mass, (float(energies[0]), float(energies[-1])),
                                   max(20, len(energies)), spacing=num.grid_spacing)
@@ -582,8 +589,8 @@ def _three_body_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
         _check_le("threebody_reciprocal_sum", report.identity_residual, tol["reciprocal_sum"]),
         _check_le("threebody_lifetime_match",
                   abs(report.tau_3b * report.gamma_r - 1.0), tol["lifetime_match"]),
-        _check_le("threebody_factorization",
-                  factorization_residual(eig_r, eig_rho), tol["factorization"]),
+        _check_le("threebody_factorization", report.factorization_residual,
+                  tol["factorization"]),
     ]
     swapped = three_body_dwell(model, eig_rho, eig_r,
                                factorization_tol=tol["factorization"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dwelltime.scenarios as scenarios
+import dwelltime.threebody as threebody
 from dwelltime.cli import COMMANDS, main
 from dwelltime.errors import ConfigurationError
 from dwelltime.potentials import PotentialSpec
@@ -269,6 +270,9 @@ THREE_BODY = {"masses": [4.0, 4.0, 1.0], "potential_r": SW, "potential_rho": SW,
               "r_chi": 2.0, "rho_phi": 2.0}
 
 
+TB_SEEDS = {"seeds_r": [[0.8, -0.6]], "seeds_rho": [[1.4, -1.0]]}
+
+
 def three_body_config(**extra) -> dict:
     return {"scenario": "three_body", **THREE_BODY, **extra}
 
@@ -323,6 +327,33 @@ class TestConfigContract:
     def test_output_format_must_match_the_written_file(self, tmp_path, capsys, payload):
         assert "output.format" in rejected(tmp_path, capsys, payload)
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"scenario": "scatter_scan", "potential": SW, "mass": True,
+          "energy_range": [0.5, 1.0, 2]}, "scatter_scan.mass"),
+        ({"scenario": "scatter_scan", "potential": SW, "mass": 1.0,
+          "energy_range": [0.5, True, 2]}, "scatter_scan.energy_range"),
+        ({"scenario": "dwell_scan", "potential": SW, "mass": 1.0,
+          "energy_range": [0.5, 1.0, 2], "r0": True}, "dwell_scan.r0"),
+        (kp_config(numerics={"grid_spacing": True}), "numerics.grid_spacing"),
+        (kp_config(numerics={"k_mode": "probe", "k_fixed": True}), "numerics.k_fixed"),
+        (kp_config(seeds=[[1.17, False]]), "kp_find.seeds[0]"),
+        (kp_config(seed_scan={"energy_range": [True, 8.0], "n_scan": 40}),
+         "kp_find.seed_scan.energy_range"),
+        (kp_config(seed_scan={"energy_range": [0.1, 8.0], "n_scan": True}),
+         "kp_find.seed_scan.n_scan"),
+        (three_body_config(masses=[4.0, True, 1.0], **TB_SEEDS), "three_body.masses"),
+        (three_body_config(r_chi=True, **TB_SEEDS), "three_body.r_chi"),
+        (three_body_config(seeds_r=[[0.8, True]], seeds_rho=TB_SEEDS["seeds_rho"]),
+         "three_body.seeds_r[0]"),
+        ({"scenario": "identity_suite",
+          "models": {"radial": {"potential": SW, "mass": 1.0,
+                                "energy_range": [0.5, 1.0, 2], "kp_r0": True}}},
+         "models.radial.kp_r0"),
+    ])
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, payload, key):
+        # bool subclasses int; "mass": true must not run as mass 1.0
+        assert key in rejected(tmp_path, capsys, payload)
+
     def test_three_body_potential_error_names_its_key(self, tmp_path, capsys):
         payload = three_body_config(seeds_r=[[0.8, -0.6]], seeds_rho=[[1.4, -1.0]])
         payload["potential_rho"] = {"kind": "square_wel", "params": {}}
@@ -372,6 +403,26 @@ def test_verify_probe_mode_coarse_solve_keeps_k_fixed(tmp_path, monkeypatch):
         assert fine.k_fixed == coarse.k_fixed == 1.3
         assert abs(fine.w - coarse.w) < 1e-6
     assert fine_r.eigenfunction.grid.spacing * 2.0 == coarse_r.eigenfunction.grid.spacing
+
+
+def test_bundled_verify_runs_each_three_body_residual_once_per_input(tmp_path, monkeypatch):
+    # factorization once per three_body_dwell (the report and the
+    # exchange-symmetry run on swapped channels), continuity once per grid
+    calls = {"factorization_residual": 0, "continuity_residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # three_body_dwell looks both up in threebody; verify imports continuity_residual
+    for module, name in ((threebody, "factorization_residual"),
+                         (threebody, "continuity_residual"),
+                         (scenarios, "continuity_residual")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert calls == {"factorization_residual": 2, "continuity_residual": 2}
 
 
 def test_free_phase_check_reads_the_configured_scan(tmp_path):

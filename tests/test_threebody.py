@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dwelltime import threebody
 from dwelltime.errors import (
     ConfigurationError,
     InternalConsistencyError,
@@ -175,6 +180,10 @@ class TestDwellReport:
     def test_factorization_consistency(self, eigenpairs):
         assert factorization_residual(*eigenpairs) < 1e-9
 
+    def test_report_carries_the_factorization_gate_value(self, model, eigenpairs):
+        rep = three_body_dwell(model, *eigenpairs)
+        assert rep.factorization_residual == factorization_residual(*eigenpairs)
+
     def test_exchange_symmetry_bitwise(self, model, eigenpairs):
         rep = three_body_dwell(model, *eigenpairs)
         swapped = three_body_dwell(model, eigenpairs[1], eigenpairs[0])
@@ -237,3 +246,83 @@ class TestContinuity:
         direct = abs(eig_r.gamma * eig_r.norm() - eig_r.boundary_current()) / (
             eig_r.gamma * eig_r.norm())
         assert cont.integrated_residual_r == pytest.approx(direct, rel=1e-12)
+
+
+def _balance_nxn(gamma, dens_r, div_r, dens_rho, div_rho):
+    """The full n x n balance max and scale, as the formulas read."""
+    balance = (-gamma * np.outer(dens_r, dens_rho)
+               + np.outer(div_r, dens_rho) + np.outer(dens_r, div_rho))
+    return (float(np.max(np.abs(balance))),
+            gamma * float(np.max(np.outer(dens_r, dens_rho))))
+
+
+class TestChunkedBalance:
+    def test_report_equals_the_nxn_formulas_bitwise(self, eigenpairs):
+        # n = 2001 runs in 16 row chunks of 131 rows
+        eig_r, eig_rho = eigenpairs
+        gamma = eig_r.gamma + eig_rho.gamma
+        dens_r, div_r = threebody._channel_fields(eig_r)
+        dens_rho, div_rho = threebody._channel_fields(eig_rho)
+        cont = continuity_residual(eig_r, eig_rho)
+        assert (cont.balance_max, cont.balance_scale) == _balance_nxn(
+            gamma, dens_r, div_r, dens_rho, div_rho)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           n_r=st.integers(1, 40), n_rho=st.integers(1, 40),
+           chunk=st.integers(1, 300),
+           gamma=st.floats(1e-3, 10.0))
+    def test_any_chunking_is_bit_identical(self, data, n_r, n_rho, chunk, gamma):
+        # chunk sizes that divide neither length leave a short last chunk
+        dens = st.floats(0.0, 1e3)
+        div = st.floats(-1e3, 1e3)
+        dens_r = data.draw(arrays(np.float64, n_r, elements=dens))
+        dens_rho = data.draw(arrays(np.float64, n_rho, elements=dens))
+        div_r = data.draw(arrays(np.float64, n_r, elements=div))
+        div_rho = data.draw(arrays(np.float64, n_rho, elements=div))
+        full_max, full_scale = _balance_nxn(gamma, dens_r, div_r, dens_rho, div_rho)
+        assert threebody._balance_max(gamma, dens_r, div_r, dens_rho, div_rho,
+                                      chunk=chunk) == full_max
+        assert gamma * float(np.max(dens_r) * np.max(dens_rho)) == full_scale
+
+    def test_nan_is_not_dropped(self):
+        dens = np.ones(5)
+        div = np.array([0.0, 0.0, np.nan, 0.0, 0.0])
+        assert math.isnan(threebody._balance_max(1.0, dens, div, dens, np.zeros(5), chunk=5))
+
+
+# r_chi = rho_phi = 10 at spacing 1e-3: n = 10001 per channel, so an n x n
+# float64 array alone is 763 MiB
+LARGE_REGION = 10.0
+
+
+@pytest.fixture(scope="module")
+def large(sw10):
+    model = build_three_body(MASSES, sw10, sw10, LARGE_REGION, LARGE_REGION)
+    eig_r, eig_rho = solve_subsystems(model, [SEED_R], [SEED_RHO], spacing=1e-3)
+    assert eig_r.eigenfunction.values.size >= 10001
+    return model, eig_r, eig_rho
+
+
+def _peak_mib(fn) -> float:
+    """Peak traced allocation of fn() above what was live before it."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - live) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeGridMemory:
+    """No n x n array: peak allocation stays flat in n (aim: large grids fit)."""
+
+    def test_continuity_residual_peak(self, large):
+        _, eig_r, eig_rho = large
+        assert _peak_mib(lambda: continuity_residual(eig_r, eig_rho)) < 16.0
+
+    def test_three_body_dwell_peak(self, large):
+        model, eig_r, eig_rho = large
+        assert _peak_mib(lambda: three_body_dwell(model, eig_r, eig_rho)) < 1.0
