@@ -32,7 +32,9 @@ from .potentials import (
 )
 from .radial import (
     Barrier1DSolution,
+    BarrierOperator,
     RadialGrid,
+    RadialOperator,
     RadialSolution,
     ScatteringObservables,
     auto_grid,

@@ -61,7 +61,36 @@ def solve_banded(ab, rhs):
     return x
 
 
-def _banded_block(cf, cf_right, cf_left, y0, y1):
+class DifferenceBand:
+    """Band storage of the difference-form solve, for blocks of up to ``n`` nodes.
+
+    Holds one LAPACK lower-band array per dtype with the constant +-1
+    entries of :func:`_banded_block` already set.  A solve writes only the
+    three f-dependent slices of the first 2m - 1 rows it uses, and LAPACK
+    reads the band without writing it, so one instance serves any number of
+    solves with bit-identical results.  Each solve rewrites the storage:
+    share an instance between successive solves, never concurrent ones.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._storage: dict = {}
+
+    def rows(self, m: int, dtype) -> np.ndarray:
+        """The first 2m - 1 rows of the band for ``dtype``; m <= n."""
+        if m > self.n:
+            raise ValueError(f"band holds blocks of up to {self.n} nodes, not {m}")
+        band = self._storage.get(dtype)
+        if band is None:
+            band = np.zeros((2 * self.n - 1, 4), dtype=dtype)
+            band[:, 0] = 1.0
+            band[3:-1:2, 1] = -1.0
+            band[1:-2, 2] = -1.0
+            self._storage[dtype] = band
+        return band[: 2 * m - 1]
+
+
+def _banded_block(cf, cf_right, cf_left, y0, y1, band: DifferenceBand):
     """One difference-form solve of the recurrence on a block seeded with y0, y1.
 
     ``cf`` is (h^2/12) f over the block's nodes, ``cf_right``/``cf_left``
@@ -73,23 +102,23 @@ def _banded_block(cf, cf_right, cf_left, y0, y1):
         y_{i+1} - y_i - d_{i+1} = 0
 
     so the rounded coefficient 2 + 10 cf_i of the plain recurrence is never
-    formed.  Returns the values y over the block.
+    formed.  ``band`` supplies the storage with the constant entries set;
+    entries past the block's last row are never read by LAPACK.  Returns
+    the values y over the block.
     """
     m = cf.shape[0]
     # row j of band is column j of the LAPACK storage, so band.T needs no copy
-    band = np.zeros((2 * m - 1, 4), dtype=cf.dtype)
-    band[:, 0] = 1.0
-    band[3::2, 0] -= cf_right[2:]
+    band = band.rows(m, cf.dtype)
+    np.subtract(1.0, cf_right[2:], out=band[3::2, 0])
     band[2:-2:2, 1] = -(cf_right[2:] + 10.0 * cf[1:-1])
-    band[3:-1:2, 1] = -1.0
-    band[1:-2, 2] = -1.0
-    band[:-4:2, 3] = -cf_left[:-2]
+    np.negative(cf_left[:-2], out=band[:-4:2, 3])
     rhs = np.zeros(2 * m - 1, dtype=cf.dtype)
     rhs[:3] = y0, y1 - y0, y1
     return solve_banded(band.T, rhs)[::2]
 
 
-def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
+def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None,
+            band: DifferenceBand | None = None):
     """Propagate y'' = f(x) y across equally spaced nodes given y[0], y[1].
 
     Returns ``(y, scale)`` where the computed values equal the exact
@@ -115,6 +144,10 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     everything solved so far is divided by the block's peak modulus before
     the next block starts.  A block that still produces non-finite values
     raises :class:`BlockOverflowError`.
+
+    ``band`` is storage kept by a caller that solves many times on one
+    grid (:class:`DifferenceBand` of at least ``len(f)`` nodes); without
+    it each call builds its own.
     """
     f = np.asarray(f)
     f_as_right = f if f_as_right is None else np.asarray(f_as_right)
@@ -133,6 +166,8 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     if h * kappa * (n - 1) > _GROWTH_LIMIT:
         # a block of m nodes advances m - 2 of them
         m = max(3, int(_GROWTH_LIMIT / (h * kappa)))
+    if band is None:
+        band = DifferenceBand(m)
 
     y = np.empty(n, dtype=dtype)
     y[0] = y0
@@ -142,7 +177,7 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None):
     while start + 2 < n:
         stop = min(start + m, n)
         z = _banded_block(cf[start:stop], cf_right[start:stop], cf_left[start:stop],
-                          y[start], y[start + 1])
+                          y[start], y[start + 1], band)
         if not np.all(np.isfinite(z)):
             raise BlockOverflowError(h, kappa, block)
         y[start + 2 : stop] = z[2:]

@@ -12,6 +12,7 @@ in any mutually consistent system, and k = sqrt(2 m E).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,11 +41,15 @@ _REQUIRED_PARAMS = {
 _RANGE_PARAMS = frozenset({"a", "L", "sigma", "cutoff", "R"})
 
 
+def _is_real(value) -> bool:
+    """A real number (numpy scalars included); not a bool, although bool subclasses int."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_float(value, name: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
+    if not _is_real(value):
         raise ConfigurationError(f"parameter '{name}': expected a real number, got {value!r}")
+    out = float(value)
     if not np.isfinite(out):
         raise ConfigurationError(f"parameter '{name}' must be finite, got {out!r}")
     return out
@@ -206,14 +211,19 @@ class PotentialSpec:
         params = obj.get("params", {})
         if not isinstance(params, Mapping):
             raise ConfigurationError(f"potential 'params': expected object, got {type(params).__name__}")
-        table_r = obj.get("r")
-        table_v = obj.get("v")
+        tables = {}
+        for key in ("r", "v"):
+            table = obj.get(key)
+            if table is not None and (not isinstance(table, list)
+                                      or not all(_is_real(x) for x in table)):
+                raise ConfigurationError(f"potential '{key}': expected a list of real numbers")
+            tables[key] = None if table is None else np.asarray(table, dtype=float)
         return cls(
             kind=kind,
             params=dict(params),
             support_radius=obj.get("support_radius"),
-            table_r=None if table_r is None else np.asarray(table_r, dtype=float),
-            table_v=None if table_v is None else np.asarray(table_v, dtype=float),
+            table_r=tables["r"],
+            table_v=tables["v"],
         )
 
 

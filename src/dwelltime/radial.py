@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, MatchingError, ResolutionError
 from .numerics import (
+    DifferenceBand,
     derivative_field,
     numerov,
     principal_branch,
@@ -188,6 +189,12 @@ def _node_potentials(potential: PotentialSpec, grid: RadialGrid):
 
 
 def _check_resolution(grid: RadialGrid, energy, mass: float, v: np.ndarray):
+    """Raise unless the grid resolves the shortest local wavelength.
+
+    ``v`` may be every node sample of V or only their extremes: |E - v| is
+    largest at one of them, and rounding keeps that order, so both give
+    the same bits.
+    """
     scale = float(np.max(np.abs(energy - v)))
     kappa = math.sqrt(2.0 * mass * scale) if scale > 0 else 0.0
     if kappa == 0.0:
@@ -203,59 +210,96 @@ def _check_resolution(grid: RadialGrid, energy, mass: float, v: np.ndarray):
         )
 
 
-def integrate_radial(potential: PotentialSpec, energy, mass: float, grid: RadialGrid) -> RadialSolution:
-    """Integrate the reduced radial equation outward from the origin.
+def _extremes(v: np.ndarray) -> np.ndarray:
+    return np.array([np.min(v), np.max(v)])
 
-    Normalization phi(0) = 0, phi'(0) = 1, recorded in ``origin_slope``.
-    Where its growth bound allows overflow, the kernel solves in rescaled
-    blocks; ``origin_slope`` then carries the accumulated scale and
-    ``diagnostics["rescaled"]`` is set.
+
+class RadialOperator:
+    """The reduced radial equation for one (potential, mass, grid), ready to solve at any energy.
+
+    Construction checks the inputs and does the work that does not depend
+    on the energy, once: the role-resolved node samples of V with their
+    breaks and truncation jump (:func:`_node_potentials`), the extremes of
+    V for the resolution check, and the difference-form band storage
+    (:class:`~dwelltime.numerics.DifferenceBand`).  :meth:`solve` forms
+    f = 2 m (V - E) per energy with the same arithmetic as a one-shot
+    solve, so reusing an operator changes no bit of any result.  Every
+    solve rewrites the band storage: an operator serves one caller at a
+    time, for as long as that caller solves on its grid.
     """
-    if not mass > 0.0:
-        raise DomainError("mass must be positive")
-    if grid.r_max < potential.support_radius * (1.0 - 1e-12):
-        raise ConfigurationError(
-            f"grid r_max = {grid.r_max} does not cover the potential support "
-            f"radius {potential.support_radius}"
+
+    def __init__(self, potential: PotentialSpec, mass: float, grid: RadialGrid):
+        if not mass > 0.0:
+            raise DomainError("mass must be positive")
+        if grid.r_max < potential.support_radius * (1.0 - 1e-12):
+            raise ConfigurationError(
+                f"grid r_max = {grid.r_max} does not cover the potential support "
+                f"radius {potential.support_radius}"
+            )
+        self.potential = potential
+        self.mass = mass
+        self.grid = grid
+        self._v_left, self._v_center, self._v_right, self._breaks, self._jump = \
+            _node_potentials(potential, grid)
+        self._v_extremes = _extremes(self._v_center[:-1])
+        self._band = DifferenceBand(grid.n_points + 1)
+
+    def solve(self, energy) -> RadialSolution:
+        """Integrate outward from the origin at real or complex ``energy``.
+
+        Normalization phi(0) = 0, phi'(0) = 1, recorded in ``origin_slope``.
+        Where its growth bound allows overflow, the kernel solves in
+        rescaled blocks; ``origin_slope`` then carries the accumulated scale
+        and ``diagnostics["rescaled"]`` is set.
+        """
+        grid, mass = self.grid, self.mass
+        _check_resolution(grid, energy, mass, self._v_extremes)
+
+        h = grid.spacing
+        f = 2.0 * mass * (self._v_center - energy)
+        f_as_right = 2.0 * mass * (self._v_left - energy)
+        f_as_left = 2.0 * mass * (self._v_right - energy)
+        # The step centered on a discontinuity node keeps O(h^3) defects
+        # proportional to the jumps of f and of its slope; rewriting y'(a)
+        # through the neighbouring values moves the first into the step
+        # coefficients, the second folds into the center weight.  Together
+        # they restore full order across the node.
+        for c in self._breaks:
+            df = f_as_left[c] - f_as_right[c]
+            slope_gap = (f[c + 1] - f_as_left[c]) / h - (f_as_right[c] - f[c - 1]) / h
+            f_as_right[c + 1] += 0.5 * df
+            f_as_left[c - 1] -= 0.5 * df
+            f[c] += h * slope_gap / 10.0 - h * h * df * df / 40.0
+        y1 = taylor_first_step(0.0, 1.0, h, f[0], f[1])
+        y, scale = numerov(f, h, 0.0, y1, f_as_right=f_as_right, f_as_left=f_as_left,
+                           band=self._band)
+
+        n = grid.n_points
+        d_end = (
+            y[n] - y[n - 2] - (h * h / 6.0) * (f[n] - f[n - 2]) * y[n - 1]
+        ) / (2.0 * h * (1.0 + (h * h / 6.0) * f[n - 1]))
+
+        return RadialSolution(
+            grid=grid,
+            values=y[:n],
+            derivative_at_end=complex(d_end),
+            energy=energy,
+            mass=mass,
+            potential=self.potential,
+            origin_slope=scale,
+            diagnostics={"rescaled": scale != 1.0, "truncation_jump": self._jump},
+            _f=f[:n],
+            _break_nodes=self._breaks,
         )
-    v_left, v_center, v_right, breaks, jump = _node_potentials(potential, grid)
-    _check_resolution(grid, energy, mass, v_center[:-1])
 
-    h = grid.spacing
-    f = 2.0 * mass * (v_center - energy)
-    f_as_right = 2.0 * mass * (v_left - energy)
-    f_as_left = 2.0 * mass * (v_right - energy)
-    # The step centered on a discontinuity node keeps O(h^3) defects
-    # proportional to the jumps of f and of its slope; rewriting y'(a)
-    # through the neighbouring values moves the first into the step
-    # coefficients, the second folds into the center weight.  Together they
-    # restore full order across the node.
-    for c in breaks:
-        df = f_as_left[c] - f_as_right[c]
-        slope_gap = (f[c + 1] - f_as_left[c]) / h - (f_as_right[c] - f[c - 1]) / h
-        f_as_right[c + 1] += 0.5 * df
-        f_as_left[c - 1] -= 0.5 * df
-        f[c] += h * slope_gap / 10.0 - h * h * df * df / 40.0
-    y1 = taylor_first_step(0.0, 1.0, h, f[0], f[1])
-    y, scale = numerov(f, h, 0.0, y1, f_as_right=f_as_right, f_as_left=f_as_left)
 
-    n = grid.n_points
-    d_end = (
-        y[n] - y[n - 2] - (h * h / 6.0) * (f[n] - f[n - 2]) * y[n - 1]
-    ) / (2.0 * h * (1.0 + (h * h / 6.0) * f[n - 1]))
+def integrate_radial(potential: PotentialSpec, energy, mass: float, grid: RadialGrid) -> RadialSolution:
+    """One solve of the reduced radial equation: :meth:`RadialOperator.solve`.
 
-    return RadialSolution(
-        grid=grid,
-        values=y[:n],
-        derivative_at_end=complex(d_end),
-        energy=energy,
-        mass=mass,
-        potential=potential,
-        origin_slope=scale,
-        diagnostics={"rescaled": scale != 1.0, "truncation_jump": jump},
-        _f=f[:n],
-        _break_nodes=breaks,
-    )
+    Callers that solve many energies on one grid build the operator once
+    and reuse it.
+    """
+    return RadialOperator(potential, mass, grid).solve(energy)
 
 
 @dataclass(frozen=True)
@@ -346,12 +390,15 @@ def scattering_solution(potential: PotentialSpec, energy: float, mass: float,
 
 
 def phase_shift_scan(potential: PotentialSpec, energies, mass: float,
-                     r0: float | None = None, spacing: float | None = None):
+                     r0: float | None = None, spacing: float | None = None,
+                     wavefunctions: list | None = None):
     """Unwrapped delta(E) along an increasing energy scan.
 
     The first point is reduced to (-pi/2, pi/2]; subsequent points take the
     branch nearest their predecessor, making delta(E) differentiable.
-    Returns (deltas, observables).
+    Every energy is one solve of one :class:`RadialOperator`; a list passed
+    as ``wavefunctions`` receives each solve's phi values (phi'(0) = 1
+    normalization), in scan order.  Returns (deltas, observables).
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
@@ -362,11 +409,13 @@ def phase_shift_scan(potential: PotentialSpec, energies, mass: float,
         r0 = potential.support_radius
     if spacing is None:
         spacing = default_spacing(potential, float(energies[-1]), mass, r0)
-    grid = RadialGrid.from_spacing(r0, spacing)
+    operator = RadialOperator(potential, mass, RadialGrid.from_spacing(r0, spacing))
     obs = []
     for e in energies:
-        sol = integrate_radial(potential, float(e), mass, grid)
+        sol = operator.solve(float(e))
         obs.append(match_scattering(sol, r0))
+        if wavefunctions is not None:
+            wavefunctions.append(sol.values)
     deltas = unwrap_nearest(np.array([o.delta for o in obs]), math.pi)
     return deltas, obs
 
@@ -377,7 +426,9 @@ class Barrier1DSolution:
 
     Psi(x) = e^{ikx} + R e^{-ikx} on the left, T e^{ikx} on the right;
     ``values`` holds Psi on the interior grid [0, L].  The incident flux is
-    v = k/m (unit amplitude), recorded in ``incident_flux``.
+    v = k/m (unit amplitude), recorded in ``incident_flux``.  ``operator``
+    is the :class:`BarrierOperator` that solved it, for further energies
+    on the same grid.
     """
 
     grid: RadialGrid
@@ -390,75 +441,100 @@ class Barrier1DSolution:
     potential: PotentialSpec
     incident_flux: float
     flux_residual: float
+    operator: "BarrierOperator" = field(repr=False, compare=False)
+
+
+class BarrierOperator:
+    """One-dimensional scattering off a finite barrier on [0, L], ready to solve at any energy.
+
+    The 1-d counterpart of :class:`RadialOperator` for one (potential,
+    mass, grid on [0, L]): construction checks the inputs and prepares the
+    interior-side samples of V on the reversed grid, their extremes and the
+    band storage; :meth:`solve` does the per-energy work with the
+    arithmetic of a one-shot solve.  One caller at a time.
+    """
+
+    def __init__(self, potential: PotentialSpec, mass: float, grid: RadialGrid):
+        if potential.kind not in ("rectangular_barrier_1d", "tabulated"):
+            raise ConfigurationError("1-d barrier solver accepts rectangular_barrier_1d or tabulated potentials")
+        if not mass > 0.0:
+            raise DomainError("mass must be positive")
+        if grid.r_max != potential.support_radius:
+            raise ConfigurationError(
+                f"barrier grid must span [0, {potential.support_radius}], not [0, {grid.r_max}]")
+        self.potential = potential
+        self.mass = mass
+        self.grid = grid
+        n = grid.n_points
+        # Interior-side samples: the solve lives on (0, L), so edge nodes take
+        # the interior limit rather than the exterior zero.
+        v = np.asarray(potential.evaluate(grid.nodes()), dtype=float)
+        for radius, left, right in potential.jump_points():
+            i = grid.index_of(radius)
+            if i == n - 1:
+                v[i] = left
+        self._v_extremes = _extremes(v)
+        # March from x = L toward x = 0 in the reversed variable xi = L - x,
+        # with one extension node past x = 0 for the companion derivative.
+        self._v_rev = np.append(v[::-1], v[0])
+        self._band = DifferenceBand(n + 1)
+
+    def solve(self, energy: float) -> Barrier1DSolution:
+        """Transmission, reflection and the interior wave at ``energy`` > 0.
+
+        Integrates from the transmitted side back to x = 0 and matches
+        plane waves; |R|^2 + |T|^2 - 1 is reported as ``flux_residual``.
+        """
+        if energy <= 0.0:
+            raise DomainError("barrier scattering requires E > 0 (k = 0 is singular)")
+        grid, mass = self.grid, self.mass
+        _check_resolution(grid, energy, mass, self._v_extremes)
+        length = grid.r_max
+        h = grid.spacing
+        n = grid.n_points
+
+        k = math.sqrt(2.0 * mass * energy)
+        f_rev = 2.0 * mass * (self._v_rev - energy)
+        z0 = np.exp(1j * k * length)
+        dz0 = -1j * k * z0  # d/d(xi) at xi = 0
+        z1 = taylor_first_step(z0, dz0, h, f_rev[0], f_rev[1])
+        z, scale = numerov(f_rev, h, z0, z1, band=self._band)
+
+        psi = z[:n][::-1].copy()
+        dpsi0_rev = (
+            z[n] - z[n - 2] - (h * h / 6.0) * (f_rev[n] - f_rev[n - 2]) * z[n - 1]
+        ) / (2.0 * h * (1.0 + (h * h / 6.0) * f_rev[n - 1]))
+        psi0 = psi[0]
+        dpsi0 = -dpsi0_rev  # back to d/dx
+
+        # The block rescaling (if any) cancels in the matching ratio; the
+        # transmitted amplitude reacquires it, which is where it physically
+        # belongs (exponentially small transmission through a thick barrier).
+        c = 2j * k / (1j * k * psi0 + dpsi0)
+        reflection = c * psi0 - 1.0
+        transmission = scale * c
+        psi *= c
+
+        flux_residual = abs(abs(reflection) ** 2 + abs(transmission) ** 2 - 1.0)
+        return Barrier1DSolution(
+            grid=grid,
+            values=psi,
+            reflection=complex(reflection),
+            transmission=complex(transmission),
+            k=k,
+            energy=energy,
+            mass=mass,
+            potential=self.potential,
+            incident_flux=k / mass,
+            flux_residual=float(flux_residual),
+            operator=self,
+        )
 
 
 def solve_barrier_1d(potential: PotentialSpec, energy: float, mass: float,
                      spacing: float | None = None) -> Barrier1DSolution:
-    """Scattering off a finite barrier on [0, L] in one dimension.
-
-    Integrates from the transmitted side back to x = 0 and matches plane
-    waves; |R|^2 + |T|^2 - 1 is reported as ``flux_residual``.
-    """
-    if potential.kind not in ("rectangular_barrier_1d", "tabulated"):
-        raise ConfigurationError("1-d barrier solver accepts rectangular_barrier_1d or tabulated potentials")
-    if energy <= 0.0:
-        raise DomainError("barrier scattering requires E > 0 (k = 0 is singular)")
-    if not mass > 0.0:
-        raise DomainError("mass must be positive")
-
+    """One solve of :class:`BarrierOperator` on a grid of the given spacing over [0, L]."""
     length = potential.support_radius
     if spacing is None:
         spacing = default_spacing(potential, energy, mass, length)
-    grid = RadialGrid.from_spacing(length, spacing)
-    nodes = grid.nodes()
-    h = grid.spacing
-    n = grid.n_points
-
-    # Interior-side samples: the solve lives on (0, L), so edge nodes take
-    # the interior limit rather than the exterior zero.
-    v = np.asarray(potential.evaluate(nodes), dtype=float)
-    for radius, left, right in potential.jump_points():
-        i = grid.index_of(radius)
-        if i == n - 1:
-            v[i] = left
-    _check_resolution(grid, energy, mass, v)
-
-    k = math.sqrt(2.0 * mass * energy)
-    f = 2.0 * mass * (v - energy)
-
-    # March from x = L toward x = 0 in the reversed variable xi = L - x,
-    # with one extension node past x = 0 for the companion derivative.
-    f_rev = np.append(f[::-1], f[0])
-    z0 = np.exp(1j * k * length)
-    dz0 = -1j * k * z0  # d/d(xi) at xi = 0
-    z1 = taylor_first_step(z0, dz0, h, f_rev[0], f_rev[1])
-    z, scale = numerov(f_rev, h, z0, z1)
-
-    psi = z[:n][::-1].copy()
-    dpsi0_rev = (
-        z[n] - z[n - 2] - (h * h / 6.0) * (f_rev[n] - f_rev[n - 2]) * z[n - 1]
-    ) / (2.0 * h * (1.0 + (h * h / 6.0) * f_rev[n - 1]))
-    psi0 = psi[0]
-    dpsi0 = -dpsi0_rev  # back to d/dx
-
-    # The block rescaling (if any) cancels in the matching ratio; the
-    # transmitted amplitude reacquires it, which is where it physically
-    # belongs (exponentially small transmission through a thick barrier).
-    c = 2j * k / (1j * k * psi0 + dpsi0)
-    reflection = c * psi0 - 1.0
-    transmission = scale * c
-    psi *= c
-
-    flux_residual = abs(abs(reflection) ** 2 + abs(transmission) ** 2 - 1.0)
-    return Barrier1DSolution(
-        grid=grid,
-        values=psi,
-        reflection=complex(reflection),
-        transmission=complex(transmission),
-        k=k,
-        energy=energy,
-        mass=mass,
-        potential=potential,
-        incident_flux=k / mass,
-        flux_residual=float(flux_residual),
-    )
+    return BarrierOperator(potential, mass, RadialGrid.from_spacing(length, spacing)).solve(energy)

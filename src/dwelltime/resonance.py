@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DomainError
 from .numerics import simpson_segmented
 from .potentials import PotentialSpec
-from .radial import RadialGrid, RadialSolution, auto_grid, integrate_radial
-from .times import phase_time_delay
+from .radial import RadialGrid, RadialOperator, RadialSolution, auto_grid
+from .times import _stencil_delay
 
 DEFAULT_ROOT_TOL = 1e-10
 MAX_ROOT_ITERATIONS = 50
@@ -86,10 +86,13 @@ class KPSearchResult:
     failures: tuple[SeedFailure, ...]
 
 
-def kp_residual(potential: PotentialSpec, w: complex, k_fixed: float, mass: float,
-                r0: float, grid: RadialGrid) -> complex:
-    """Scaled boundary defect D(W) = phi'(r0) - i k phi(r0) at complex energy W."""
-    sol = integrate_radial(potential, w, mass, grid)
+def kp_residual(operator: RadialOperator, w: complex, k_fixed: float, r0: float) -> complex:
+    """Scaled boundary defect D(W) = phi'(r0) - i k phi(r0) at complex energy W.
+
+    One solve of ``operator``, whose grid must have r0 on a node.
+    """
+    sol = operator.solve(w)
+    grid = operator.grid
     i0 = grid.index_of(r0)
     if i0 is None:
         raise DomainError(f"r0 = {r0} is not a grid node")
@@ -102,7 +105,7 @@ def kp_residual(potential: PotentialSpec, w: complex, k_fixed: float, mass: floa
     return d / scale
 
 
-def _root_at_fixed_k(potential, mass, k, seed, r0, grid, tol):
+def _root_at_fixed_k(operator, k, seed, r0, tol):
     """Complex secant iteration on the scaled boundary defect at fixed k.
 
     The first step and any degenerate secant step use a finite-difference
@@ -111,7 +114,7 @@ def _root_at_fixed_k(potential, mass, k, seed, r0, grid, tol):
     dithers there, so stagnating steps end the search.
     """
     def f(w):
-        return kp_residual(potential, w, k, mass, r0, grid)
+        return kp_residual(operator, w, k, r0)
 
     w0 = complex(seed)
     f0 = f(w0)
@@ -174,13 +177,15 @@ def find_kp_eigenvalues(potential: PotentialSpec, mass: float, seeds, r0: float,
     if grid is None:
         e_scale = max(abs(complex(s)) for s in seeds)
         grid = auto_grid(potential, e_scale, mass, r_max=r0, spacing=spacing)
+    # one operator for every seed, k iteration and eigenfunction solve
+    operator = RadialOperator(potential, mass, grid)
 
     eigenpairs: list[ResonanceEigenpair] = []
     failures: list[SeedFailure] = []
     for seed in seeds:
         seed = complex(seed)
         if k_fixed is not None:
-            w, res, ok = _root_at_fixed_k(potential, mass, k_fixed, seed, r0, grid, tol)
+            w, res, ok = _root_at_fixed_k(operator, k_fixed, seed, r0, tol)
             k_final = k_fixed
         else:
             ok = False
@@ -193,7 +198,7 @@ def find_kp_eigenvalues(potential: PotentialSpec, mass: float, seeds, r0: float,
             k = math.sqrt(2.0 * mass * seed.real)
             w_guess = seed
             for _ in range(MAX_K_ITERATIONS):
-                w, res, ok = _root_at_fixed_k(potential, mass, k, w_guess, r0, grid, tol)
+                w, res, ok = _root_at_fixed_k(operator, k, w_guess, r0, tol)
                 if not ok:
                     break
                 if w.real <= 0.0:
@@ -205,7 +210,7 @@ def find_kp_eigenvalues(potential: PotentialSpec, mass: float, seeds, r0: float,
                 fk = g - k
                 if abs(fk) <= K_SELF_CONSISTENT_TOL * max(k, 1e-300):
                     k = g
-                    w, res, ok = _root_at_fixed_k(potential, mass, k, w, r0, grid, tol)
+                    w, res, ok = _root_at_fixed_k(operator, k, w, r0, tol)
                     break
                 # secant acceleration on the fixed-point defect g(k) - k
                 if k_prev is not None and fk != fk_prev:
@@ -230,7 +235,7 @@ def find_kp_eigenvalues(potential: PotentialSpec, mass: float, seeds, r0: float,
                                         final_w=w, final_residual=res))
             continue
 
-        sol = integrate_radial(potential, w, mass, grid)
+        sol = operator.solve(w)
         norm, _ = simpson_segmented(np.abs(sol.values) ** 2, grid.spacing, sol._break_nodes)
         normalized = sol.rescaled(1.0 / math.sqrt(norm))
         eigenpairs.append(ResonanceEigenpair(
@@ -270,11 +275,10 @@ def scan_resonance_seeds(potential: PotentialSpec, mass: float, e_range, n_scan:
     if n_scan < 3:
         raise DomainError("need at least 3 scan points")
     energies = np.linspace(e_lo, e_hi, int(n_scan))
-    grid = auto_grid(potential, e_hi, mass, r_max=potential.support_radius, spacing=spacing)
-    delays = np.array([
-        phase_time_delay(potential, float(e), mass, rel_step=rel_step, grid=grid)
-        for e in energies
-    ])
+    r0 = potential.support_radius
+    operator = RadialOperator(potential, mass,
+                              auto_grid(potential, e_hi, mass, r_max=r0, spacing=spacing))
+    delays = np.array([_stencil_delay(operator, float(e), rel_step, r0) for e in energies])
 
     seeds: list[complex] = []
     for i in range(1, len(energies) - 1):

@@ -30,11 +30,11 @@ from .errors import (
 )
 from .potentials import PotentialSpec
 from .radial import (
+    BarrierOperator,
     RadialGrid,
-    integrate_radial,
+    RadialOperator,
     match_scattering,
     phase_shift_scan,
-    solve_barrier_1d,
 )
 from .resonance import (
     find_kp_eigenvalues,
@@ -161,10 +161,11 @@ def parse_numerics(obj: dict | None) -> Numerics:
 
 def _parse_energy_range(obj: dict, context: str) -> np.ndarray:
     rng = _expect(obj, "energy_range", list, context)
-    if len(rng) != 3 or not all(_is_number(x) for x in rng):
-        raise ConfigurationError(f"{context}.energy_range: expected [E_lo, E_hi, n_points]")
-    lo, hi, n = float(rng[0]), float(rng[1]), int(rng[2])
-    if not (0.0 < lo < hi) or n < 2:
+    if len(rng) != 3 or not all(_is_number(x) for x in rng) or not isinstance(rng[2], int):
+        raise ConfigurationError(
+            f"{context}.energy_range: expected [E_lo, E_hi, n_points], n_points an integer")
+    lo, hi, n = float(rng[0]), float(rng[1]), rng[2]
+    if not (0.0 < lo < hi < math.inf) or n < 2:
         raise ConfigurationError(f"{context}.energy_range: need 0 < E_lo < E_hi and n >= 2")
     return np.linspace(lo, hi, n)
 
@@ -292,7 +293,9 @@ def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path]
     r0 = float(_expect(config, "r0", (int, float), "scatter_scan", False, potential.support_radius))
     path = _out_path(config, out_dir, "scatter.csv")
 
-    deltas, obs = phase_shift_scan(potential, energies, mass, r0=r0, spacing=num.grid_spacing)
+    wavefunctions = [] if dump else None
+    deltas, obs = phase_shift_scan(potential, energies, mass, r0=r0, spacing=num.grid_spacing,
+                                   wavefunctions=wavefunctions)
     rows = [
         [e, o.k, d, o.s_amp.real, o.s_amp.imag, o.i_amp.real, o.i_amp.imag, o.unitarity_residual]
         for e, d, o in zip(energies, deltas, obs)
@@ -300,11 +303,10 @@ def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path]
     write_csv(path, ["E", "k", "delta", "re_S", "im_S", "re_I", "im_I", "unitarity_residual"], rows)
     written = [path]
     if dump:
-        grid = RadialGrid.from_spacing(r0, num.grid_spacing)
-        for idx, e in enumerate(energies):
-            sol = integrate_radial(potential, float(e), mass, grid)
+        nodes = RadialGrid.from_spacing(r0, num.grid_spacing).nodes()
+        for idx, values in enumerate(wavefunctions):
             wf_path = path.with_name(f"{path.stem}_wavefunction_{idx:04d}.csv")
-            write_csv(wf_path, ["r", "re_phi", "im_phi"], _wave_rows(grid.nodes(), sol.values))
+            write_csv(wf_path, ["r", "re_phi", "im_phi"], _wave_rows(nodes, values))
             written.append(wf_path)
     print(f"[scatter_scan] {len(energies)} energies, max |delta| = "
           f"{max(abs(d) for d in deltas):.6g} -> {path}")
@@ -332,9 +334,9 @@ def run_winful_1d(config: dict, out_dir=None, dump=False) -> tuple[list[Path], i
     num = parse_numerics(config.get("numerics"))
     path = _out_path(config, out_dir, "winful.csv")
 
-    reports = [winful_decomposition_1d(solve_barrier_1d(potential, float(e), mass,
-                                                        spacing=num.grid_spacing))
-               for e in energies]
+    operator = BarrierOperator(potential, mass,
+                               RadialGrid.from_spacing(potential.support_radius, num.grid_spacing))
+    reports = [winful_decomposition_1d(operator.solve(float(e))) for e in energies]
     write_csv(path, _TIME_COLUMNS, [_time_report_row(r) for r in reports])
     flagged = sum(1 for r in reports if "threshold_singular" in r.flags)
     print(f"[winful_1d] {len(reports)} energies ({flagged} threshold-flagged) -> {path}")
@@ -467,9 +469,10 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
 
     # free anchor: a flat zero barrier of the same extent must give tau = L/v
     free = PotentialSpec("rectangular_barrier_1d", {"V0": 0.0, "L": r0})
+    free_operator = BarrierOperator(free, mass, RadialGrid.from_spacing(r0, num.grid_spacing))
     checks = []
     for e in (float(energies[0]), float(energies[-1])):
-        sol = solve_barrier_1d(free, e, mass, spacing=num.grid_spacing)
+        sol = free_operator.solve(e)
         tau = dwell_time(sol, (0.0, r0), sol.incident_flux).value
         checks.append(abs(tau * sol.k / (mass * r0) - 1.0))
     out.append(_check_le("free_dwell_anchor", max(checks), tol["free_anchor"]))
@@ -481,10 +484,10 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                          max(o.unitarity_residual for o in obs), tol["unitarity"]))
 
     support = potential.support_radius
-    grid = RadialGrid.from_spacing(r0, num.grid_spacing)
+    operator = RadialOperator(potential, mass, RadialGrid.from_spacing(r0, num.grid_spacing))
     mismatch = 0.0
     for e in energies[:: max(1, len(energies) // 4)]:
-        sol = integrate_radial(potential, float(e), mass, grid)
+        sol = operator.solve(float(e))
         d_in = match_scattering(sol, support).delta
         d_out = match_scattering(sol, r0).delta
         diff = abs(d_in - d_out)
@@ -563,16 +566,18 @@ def _barrier_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     tol = TOLERANCES
     out: list[CheckResult] = []
 
+    operator = BarrierOperator(potential, mass,
+                               RadialGrid.from_spacing(potential.support_radius, num.grid_spacing))
     results = []
     for e in energies[energies >= DEFAULT_E_MIN]:
-        barrier = solve_barrier_1d(potential, float(e), mass, spacing=num.grid_spacing)
+        barrier = operator.solve(float(e))
         rep = winful_decomposition_1d(barrier, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
         results.append((barrier.flux_residual, rep))
     out.append(_check_le("flux_conservation", max(r[0] for r in results), tol["flux"]))
     out.append(_check_le("winful_identity",
                          max(abs(r[1].winful_residual) for r in results), tol["winful"]))
 
-    low = solve_barrier_1d(potential, 0.01, mass, spacing=num.grid_spacing)
+    low = operator.solve(0.01)
     low_rep = winful_decomposition_1d(low, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
     flagged = 1.0 if "threshold_singular" in low_rep.flags else 0.0
     out.append(_check_ge("winful_threshold_flag", flagged, 1.0))

@@ -41,11 +41,10 @@ from .potentials import PotentialSpec
 from .radial import (
     Barrier1DSolution,
     RadialGrid,
+    RadialOperator,
     auto_grid,
     default_spacing,
-    integrate_radial,
     match_scattering,
-    solve_barrier_1d,
 )
 
 DEFAULT_REL_STEP = 1e-4
@@ -129,11 +128,9 @@ def dwell_time(solution, region, incident_flux: float = 1.0) -> DwellResult:
                        snapped=snapped)
 
 
-def _phase_set(potential: PotentialSpec, energies: np.ndarray, mass: float,
-               r0: float, grid: RadialGrid):
-    """delta at the given (sorted) energies on one grid, branch-chained."""
-    obs = [match_scattering(integrate_radial(potential, float(e), mass, grid), r0)
-           for e in energies]
+def _phase_set(operator: RadialOperator, energies: np.ndarray, r0: float):
+    """delta at the given (sorted) energies on the operator's grid, branch-chained."""
+    obs = [match_scattering(operator.solve(float(e)), r0) for e in energies]
     deltas = unwrap_nearest(np.array([o.delta for o in obs]), math.pi)
     return deltas, obs
 
@@ -144,7 +141,7 @@ def _jumpy(deltas: np.ndarray) -> bool:
 
 def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
                      rel_step: float = DEFAULT_REL_STEP, r0: float | None = None,
-                     spacing: float | None = None, grid: RadialGrid | None = None) -> float:
+                     spacing: float | None = None) -> float:
     """Wigner delay 2 d(delta)/dE by five-point differencing plus Richardson.
 
     The stencil uses relative step ``rel_step`` and the same step halved;
@@ -153,22 +150,21 @@ def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
     """
     if r0 is None:
         r0 = potential.support_radius
-    if grid is None:
-        grid = auto_grid(potential, energy, mass, r_max=r0, spacing=spacing)
-    return _stencil_delay(potential, energy, mass, rel_step, r0, grid)
+    grid = auto_grid(potential, energy, mass, r_max=r0, spacing=spacing)
+    return _stencil_delay(RadialOperator(potential, mass, grid), energy, rel_step, r0)
 
 
-def _stencil_delay(potential: PotentialSpec, energy: float, mass: float, rel_step: float,
-                   r0: float, grid: RadialGrid, centre_delta: float | None = None) -> float:
-    """The stencil of :func:`phase_time_delay` on a given grid.
+def _stencil_delay(operator: RadialOperator, energy: float, rel_step: float, r0: float,
+                   centre_delta: float | None = None) -> float:
+    """The stencil of :func:`phase_time_delay`, solved by a given operator.
 
-    ``centre_delta`` is delta at ``energy`` itself on the same grid and
-    matching radius, for callers that have already solved there; it is the
-    value the stencil's centre solve would return, so passing it changes no
-    result.
+    ``centre_delta`` is delta at ``energy`` itself on the operator's grid
+    and matching radius, for callers that have already solved there; it is
+    the value the stencil's centre solve would return, so passing it
+    changes no result.
     """
     def delta_at(e) -> float:
-        return match_scattering(integrate_radial(potential, float(e), mass, grid), r0).delta
+        return match_scattering(operator.solve(float(e)), r0).delta
 
     step = rel_step
     for attempt in range(2):
@@ -208,9 +204,7 @@ def winful_decomposition_1d(barrier: Barrier1DSolution, rel_step: float = DEFAUL
     if energy - 2.0 * h <= 0.0:
         raise DomainError("energy too close to threshold for the differentiation stencil")
     offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * h
-    sols = [barrier if off == 0.0 else
-            solve_barrier_1d(barrier.potential, energy + float(off), mass,
-                             spacing=barrier.grid.spacing)
+    sols = [barrier if off == 0.0 else barrier.operator.solve(energy + float(off))
             for off in offsets]
     # transmission phase at the exit plane: arg T + kL (k varies over the
     # stencil); with it the weighted sum is the phase time, not a delay
@@ -289,9 +283,10 @@ def smith_identity_residual(potential: PotentialSpec, energy: float, mass: float
         grid = auto_grid(potential, energy, mass, r_max=potential.support_radius,
                          spacing=spacing)
     h = rel_step * energy
-    sol_m = integrate_radial(potential, energy - h, mass, grid)
-    sol_0 = integrate_radial(potential, energy, mass, grid)
-    sol_p = integrate_radial(potential, energy + h, mass, grid)
+    operator = RadialOperator(potential, mass, grid)
+    sol_m = operator.solve(energy - h)
+    sol_0 = operator.solve(energy)
+    sol_p = operator.solve(energy + h)
 
     u = (sol_p.values - sol_m.values) / (2.0 * h)
     du = (sol_p.derivatives - sol_m.derivatives) / (2.0 * h)
@@ -339,10 +334,11 @@ def outgoing_dwell_equals_phase(potential: PotentialSpec, energy: float, mass: f
         r0 = potential.support_radius
     if r0 < potential.support_radius:
         raise DomainError("r0 must not be smaller than the support radius")
-    grid = auto_grid(potential, energy, mass, r_max=r0, spacing=spacing)
+    operator = RadialOperator(potential, mass,
+                              auto_grid(potential, energy, mass, r_max=r0, spacing=spacing))
     h = rel_step * energy
     energies = np.array([energy - h, energy, energy + h])
-    deltas, _ = _phase_set(potential, energies, mass, r0, grid)
+    deltas, _ = _phase_set(operator, energies, r0)
 
     def outgoing(e: float, delta: float):
         k = math.sqrt(2.0 * mass * e)
@@ -362,7 +358,7 @@ def outgoing_dwell_equals_phase(potential: PotentialSpec, energy: float, mass: f
     k0 = math.sqrt(2.0 * mass * energy)
     tau_free = r0 * mass / k0
     lhs = box.real - tau_free
-    rhs = phase_time_delay(potential, energy, mass, rel_step=rel_step, r0=r0, grid=grid)
+    rhs = _stencil_delay(operator, energy, rel_step, r0)
     return OutgoingDwellReport(
         dwell_delay=float(lhs),
         phase_delay=float(rhs),
@@ -397,9 +393,10 @@ def kp_log_derivative_dwell(potential: PotentialSpec, energy: float, mass: float
         raise DomainError("energy too close to threshold for the differentiation stencil")
     energies = energy + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     i0 = grid.index_of(r0)
+    operator = RadialOperator(potential, mass, grid)
     obs = []
     for e in energies:
-        sol = integrate_radial(potential, float(e), mass, grid)
+        sol = operator.solve(float(e))
         scale = float(np.max(np.abs(sol.values)))
         if abs(sol.values[i0]) < 1e-12 * max(1.0, scale):
             raise NodeAtBoundaryError(
@@ -431,15 +428,15 @@ def time_scan(potential: PotentialSpec, mass: float, energies, r0: float,
     energies = np.asarray(energies, dtype=float)
     if spacing is None:
         spacing = default_spacing(potential, float(np.max(energies)), mass, r0)
-    grid = RadialGrid.from_spacing(r0, spacing)
+    operator = RadialOperator(potential, mass, RadialGrid.from_spacing(r0, spacing))
     reports = []
     for e in energies:
         e = float(e)
-        sol = integrate_radial(potential, e, mass, grid)
+        sol = operator.solve(e)
         obs = match_scattering(sol, r0)
         normalized = sol.rescaled(obs.normalization)
         dres = dwell_time(normalized, (0.0, r0), 1.0)
-        phase_delay = _stencil_delay(potential, e, mass, rel_step, r0, grid, centre_delta=obs.delta)
+        phase_delay = _stencil_delay(operator, e, rel_step, r0, centre_delta=obs.delta)
         tau_free = mass * r0 / obs.k
         flags: tuple[str, ...] = ()
         if dres.snapped:

@@ -1,8 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dtbtrs
 
@@ -15,9 +18,17 @@ from dwelltime.errors import (
     ResolutionError,
 )
 from dwelltime.numerics import derivative_field, numerov, taylor_first_step
-from dwelltime.potentials import rectangular_barrier, square_well, tabulated_potential
+from dwelltime.potentials import (
+    PotentialSpec,
+    gaussian_well,
+    rectangular_barrier,
+    square_well,
+    tabulated_potential,
+)
 from dwelltime.radial import (
+    BarrierOperator,
     RadialGrid,
+    RadialOperator,
     RadialSolution,
     integrate_radial,
     match_scattering,
@@ -25,8 +36,17 @@ from dwelltime.radial import (
     scattering_solution,
     solve_barrier_1d,
 )
+from dwelltime.resonance import find_kp_eigenvalues
+from dwelltime.scenarios import run_scenario
+from dwelltime.times import time_scan
 
-from reference import barrier_amplitudes, repulsive_step_delta, square_well_delta
+from reference import (
+    barrier_amplitudes,
+    one_shot_barrier,
+    one_shot_radial,
+    repulsive_step_delta,
+    square_well_delta,
+)
 
 SW_DELTA_E1 = 0.08382277524263821          # closed-form delta for V0=10, a=1, m=1, E=1
 KP_INTERIOR = 4.69041575982343             # sqrt(22), interior wavenumber at E=1
@@ -402,3 +422,187 @@ def test_phase_shift_scan_matches_oracle_everywhere(sw10):
         diff = d - want
         diff -= math.pi * round(diff / math.pi)
         assert abs(diff) < 1e-8
+
+
+# a narrow state trapped behind a thin barrier: kinks on the table nodes
+TRAP = tabulated_potential([0.0, 0.98, 1.02, 1.58, 1.62], [-8.0, -8.0, 6.0, 6.0, 0.0])
+
+
+class TestPreparedOperator:
+    """Prepared operators solve bit for bit like the one-shot assembly they replaced."""
+
+    RADIAL_CASES = {
+        # the jump at r = 1 sits on an interior node (a break)
+        "square_well": (square_well(10.0, 1.0), RadialGrid.from_spacing(2.0, 1e-3),
+                        [1.3, complex(1.17, -1.57), 0.2]),
+        "gaussian_cutoff": (gaussian_well(5.0, 0.5), RadialGrid.from_spacing(2.5, 1e-3),
+                            [0.7, complex(2.0, -0.3)]),
+        "tabulated_kinks": (TRAP, RadialGrid.from_spacing(2.0, 1e-3),
+                            [4.7675, complex(4.7675, -0.1664)]),
+        # kappa a = 1549: every solve runs in rescaled blocks
+        "blocked": (square_well(-3.0e5, 2.0), RadialGrid.from_spacing(2.5, 2e-4),
+                    [1.0, complex(5.0, -1.0)]),
+        # one operator alternating between one block and many
+        "blocked_then_single": (square_well(10.0, 1.0), RadialGrid.from_spacing(2.0, 2e-4),
+                                [1.0, complex(1.0, -2.0e5), 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_radial_solves_equal_the_one_shot_assembly(self, case):
+        potential, grid, energies = self.RADIAL_CASES[case]
+        operator = RadialOperator(potential, 1.0, grid)
+        rescaled = []
+        for e in energies:
+            values, d_end, slope, scale = one_shot_radial(potential, e, 1.0, grid)
+            for sol in (operator.solve(e), integrate_radial(potential, e, 1.0, grid)):
+                assert np.array_equal(sol.values, values)
+                assert np.array_equal(sol.derivative_at_end, d_end)
+                assert np.array_equal(sol.origin_slope, slope)
+            # the resolution check reads the extremes of V, not every node
+            assert float(np.max(np.abs(e - operator._v_extremes))) == scale
+            rescaled.append(sol.diagnostics["rescaled"])
+        assert any(rescaled) == case.startswith("blocked")
+
+    BARRIER_CASES = {
+        "rectangular": (rectangular_barrier(5.0, 1.0), 1e-3, [2.5, 0.3, 9.5]),
+        "opaque_blocked": (rectangular_barrier(2000.0, 14.3), 1e-3, [10.0, 12.0]),
+        "tabulated": (tabulated_potential([0.0, 0.4, 0.9, 1.5], [0.0, 6.0, 2.0, 3.0]), 1e-3,
+                      [1.0, 4.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BARRIER_CASES))
+    def test_barrier_solves_equal_the_one_shot_assembly(self, case):
+        potential, spacing, energies = self.BARRIER_CASES[case]
+        grid = RadialGrid.from_spacing(potential.support_radius, spacing)
+        operator = BarrierOperator(potential, 1.0, grid)
+        for e in energies:
+            values, reflection, transmission, scale = one_shot_barrier(potential, e, 1.0, grid)
+            for sol in (operator.solve(e), solve_barrier_1d(potential, e, 1.0, spacing=spacing)):
+                assert np.array_equal(sol.values, values)
+                assert np.array_equal(sol.reflection, reflection)
+                assert np.array_equal(sol.transmission, transmission)
+            assert float(np.max(np.abs(e - operator._v_extremes))) == scale
+
+    def test_barrier_grid_must_span_the_barrier(self, barrier5):
+        with pytest.raises(ConfigurationError, match="span"):
+            BarrierOperator(barrier5, 1.0, RadialGrid.from_spacing(2.0, 1e-3))
+
+
+def _table(data, h: float, depth, end_value):
+    """A random piecewise-linear table whose nodes sit on multiples of h."""
+    widths = data.draw(st.lists(st.integers(40, 400), min_size=1, max_size=4))
+    r = np.concatenate(([0.0], np.cumsum(widths) * h))
+    v = data.draw(st.lists(depth, min_size=r.size - 1, max_size=r.size - 1)) + [end_value]
+    return tabulated_potential(r, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), end_value=st.sampled_from([0.0, -2.0]),
+       energies=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=3),
+       width=st.floats(0.0, 1.0))
+def test_reused_operator_equals_fresh_solves_on_random_wells(data, end_value, energies, width):
+    h = 2e-3
+    potential = _table(data, h, st.floats(-15.0, 5.0), end_value)
+    r0 = potential.support_radius
+    grid = RadialGrid.from_spacing(r0, h)
+    operator = RadialOperator(potential, 1.0, grid)
+    for e in energies + [complex(energies[0], -width)]:
+        sol = operator.solve(e)
+        fresh = integrate_radial(potential, e, 1.0, grid)
+        values, d_end, slope, scale = one_shot_radial(potential, e, 1.0, grid)
+        for got in (sol, fresh):
+            assert np.array_equal(got.values, values)
+            assert np.array_equal(got.derivative_at_end, d_end)
+            assert np.array_equal(got.origin_slope, slope)
+        assert float(np.max(np.abs(e - operator._v_extremes))) == scale
+        if isinstance(e, float):
+            assert match_scattering(sol, r0).unitarity_residual < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), energies=st.lists(st.floats(0.2, 12.0), min_size=2, max_size=3))
+def test_reused_barrier_operator_equals_fresh_solves_on_random_barriers(data, energies):
+    h = 2e-3
+    potential = _table(data, h, st.floats(0.0, 15.0), 3.0)
+    operator = BarrierOperator(potential, 1.0,
+                               RadialGrid.from_spacing(potential.support_radius, h))
+    for e in energies:
+        sol = operator.solve(e)
+        fresh = solve_barrier_1d(potential, e, 1.0, spacing=h)
+        values, reflection, transmission, _ = one_shot_barrier(potential, e, 1.0, operator.grid)
+        for got in (sol, fresh):
+            assert np.array_equal(got.values, values)
+            assert np.array_equal(got.reflection, reflection)
+            assert np.array_equal(got.transmission, transmission)
+        # not 1e-10: the 1-d solver has no kink corrections, so on sloped
+        # tables the flux residual falls only as h^3 (see the xfail below)
+        assert sol.flux_residual < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the 1-d barrier solver skips the kink corrections "
+                                       "of the radial one: third order on sloped tables")
+def test_sloped_barrier_flux_residual_falls_fourth_order():
+    # a ramp from 0 to 3 over [0, 0.08]: kinks at both ends
+    ramp = tabulated_potential([0.0, 0.08], [0.0, 3.0])
+    coarse = solve_barrier_1d(ramp, 1.0, 1.0, spacing=1e-3).flux_residual
+    fine = solve_barrier_1d(ramp, 1.0, 1.0, spacing=5e-4).flux_residual
+    assert coarse / fine >= 14.0
+
+
+class TestPreparedOnce:
+    """The potential is sampled once per operator, not once per energy or seed."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls = []
+        evaluate = PotentialSpec.evaluate
+
+        def counting(self, r):
+            calls.append(r)
+            return evaluate(self, r)
+
+        monkeypatch.setattr(PotentialSpec, "evaluate", counting)
+        return calls
+
+    def test_time_scan(self, sw10, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for n in (2, 5):
+            calls.clear()
+            time_scan(sw10, 1.0, np.linspace(0.5, 3.0, n), 1.0, spacing=1e-3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    def test_find_kp_eigenvalues(self, sw10, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for seeds in ([1.17 - 1.57j], [1.17 - 1.57j, 1.3 - 1.4j, 6.0 - 2.0j]):
+            calls.clear()
+            assert find_kp_eigenvalues(sw10, 1.0, seeds, 1.0, spacing=1e-3).eigenpairs
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    def test_winful_scenario(self, tmp_path, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for n in (2, 6):
+            calls.clear()
+            cfg = tmp_path / f"winful_{n}.json"
+            cfg.write_text(json.dumps({
+                "scenario": "winful_1d", "mass": 1.0, "energy_range": [0.5, 4.0, n],
+                "potential": {"kind": "rectangular_barrier_1d", "params": {"V0": 5.0, "L": 1.0}},
+            }))
+            assert run_scenario(cfg, out_dir=tmp_path / str(n)) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 1
+
+    def test_successive_scans_on_one_grid_match_fresh_solves(self, sw10):
+        # an operator per scan: the second potential must not see the first
+        energies = np.array([0.6, 2.0, 4.7675])
+        grid = RadialGrid.from_spacing(2.0, 1e-3)
+        for potential in (sw10, TRAP, sw10):
+            wavefunctions = []
+            phase_shift_scan(potential, energies, 1.0, r0=2.0, spacing=1e-3,
+                             wavefunctions=wavefunctions)
+            for e, values in zip(energies, wavefunctions):
+                assert np.array_equal(values, one_shot_radial(potential, float(e), 1.0, grid)[0])

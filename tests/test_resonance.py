@@ -5,7 +5,7 @@ import pytest
 
 from dwelltime.errors import DomainError
 from dwelltime.potentials import square_well, tabulated_potential
-from dwelltime.radial import RadialGrid
+from dwelltime.radial import RadialGrid, RadialOperator
 from dwelltime.resonance import (
     find_kp_eigenvalues,
     kp_residual,
@@ -24,7 +24,8 @@ TRAP_SEED = complex(4.7675, -0.1664)
 
 def joint_zero_cells(potential, mass, k_fixed, r0, grid, re_axis, im_axis):
     """Cells of a W-plane mesh where Re D and Im D both change sign."""
-    d = np.array([[kp_residual(potential, complex(a, b), k_fixed, mass, r0, grid)
+    operator = RadialOperator(potential, mass, grid)
+    d = np.array([[kp_residual(operator, complex(a, b), k_fixed, r0)
                    for a in re_axis] for b in im_axis])
     cells = []
     sr, si = np.sign(d.real), np.sign(d.imag)
@@ -42,15 +43,16 @@ class TestResidual:
         free = square_well(0.0, 1.0)
         grid = RadialGrid.from_spacing(1.0, 1e-3)
         k = math.sqrt(2.0)
-        d = kp_residual(free, 1.0, k, 1.0, 1.0, grid)
+        d = kp_residual(RadialOperator(free, 1.0, grid), 1.0, k, 1.0)
         assert abs(d) > 0.1  # real standing wave never matches pure outgoing
 
     def test_conjugate_point_is_not_the_conjugate_residual(self, sw10):
         grid = RadialGrid.from_spacing(1.0, 1e-3)
         w = SW_EIGENVALUE
         k = 1.52748166
-        d = kp_residual(sw10, w, k, 1.0, 1.0, grid)
-        d_mirror = kp_residual(sw10, w.conjugate(), k, 1.0, 1.0, grid)
+        operator = RadialOperator(sw10, 1.0, grid)
+        d = kp_residual(operator, w, k, 1.0)
+        d_mirror = kp_residual(operator, w.conjugate(), k, 1.0)
         # conjugating W flips the sign of ik in the boundary operator, so the
         # mirror point solves a different condition
         assert abs(d_mirror - d.conjugate()) > 0.1

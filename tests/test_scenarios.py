@@ -354,6 +354,30 @@ class TestConfigContract:
         # bool subclasses int; "mass": true must not run as mass 1.0
         assert key in rejected(tmp_path, capsys, payload)
 
+    @pytest.mark.parametrize("potential,key", [
+        ({"kind": "square_well", "params": {"V0": True, "a": 1.0}}, "'V0'"),
+        ({"kind": "square_well", "params": {"V0": "10", "a": 1.0}}, "'V0'"),
+        ({"kind": "square_well", "params": {"V0": 10.0, "a": [1.0]}}, "'a'"),
+        ({**SW, "support_radius": True}, "'support_radius'"),
+        ({"kind": "tabulated", "r": [0.0, "1.0"], "v": [-1.0, 0.0]}, "'r'"),
+        ({"kind": "tabulated", "r": [0.0, 1.0], "v": [-1.0, False]}, "'v'"),
+        ({"kind": "tabulated", "r": [0.0, "x"], "v": [-1.0, 0.0]}, "'r'"),
+    ])
+    def test_potential_values_are_real_numbers(self, tmp_path, capsys, potential, key):
+        # "V0": true ran as V0 = 1 and "V0": "10" as 10; a non-numeric table
+        # entry crashed with a traceback
+        out = rejected(tmp_path, capsys, {"scenario": "scatter_scan", "potential": potential,
+                                          "mass": 1.0, "energy_range": [0.5, 1.0, 2]})
+        assert "scatter_scan.potential" in out and key in out
+
+    @pytest.mark.parametrize("count", [2.7, math.nan, True, 1, 2.0])
+    def test_energy_range_point_count_is_an_integer_of_at_least_two(self, tmp_path, capsys,
+                                                                       count):
+        # 2.7 ran 2 energies; NaN crashed in int()
+        out = rejected(tmp_path, capsys, {"scenario": "scatter_scan", "potential": SW,
+                                          "mass": 1.0, "energy_range": [0.5, 1.0, count]})
+        assert "scatter_scan.energy_range" in out
+
     def test_three_body_potential_error_names_its_key(self, tmp_path, capsys):
         payload = three_body_config(seeds_r=[[0.8, -0.6]], seeds_rho=[[1.4, -1.0]])
         payload["potential_rho"] = {"kind": "square_wel", "params": {}}
