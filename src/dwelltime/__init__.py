@@ -55,6 +55,7 @@ from .times import (
     outgoing_dwell_equals_phase,
     phase_time_delay,
     smith_identity_residual,
+    tangent_phase_delay,
     time_scan,
     winful_decomposition_1d,
 )

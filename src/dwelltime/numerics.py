@@ -33,6 +33,16 @@ def taylor_first_step(y0, dy0, h: float, f0, f1):
     )
 
 
+def taylor_first_step_tangent(y0, dy0, u0, du0, h: float, f0, f1, df):
+    """d/dp of :func:`taylor_first_step` when y0, dy0 move by u0, du0 and f by df.
+
+    ``df`` shifts f0 and f1 alike (the energy: df = -2m), so the slope of
+    f does not move.
+    """
+    return taylor_first_step(u0, du0, h, f0, f1) + df * (
+        y0 * (h**2 / 2.0 + f0 * h**4 / 12.0) + dy0 * (h**3 / 6.0 + f0 * h**5 / 60.0))
+
+
 def _growth_bound(f: np.ndarray) -> float:
     """Upper bound on the local growth rate Re sqrt(f) of y'' = f y.
 
@@ -90,7 +100,7 @@ class DifferenceBand:
         return band[: 2 * m - 1]
 
 
-def _banded_block(cf, cf_right, cf_left, y0, y1, band: DifferenceBand):
+def _banded_block(cf, cf_right, cf_left, y0, y1, band: DifferenceBand, tangent=None, dcf=None):
     """One difference-form solve of the recurrence on a block seeded with y0, y1.
 
     ``cf`` is (h^2/12) f over the block's nodes, ``cf_right``/``cf_left``
@@ -103,8 +113,14 @@ def _banded_block(cf, cf_right, cf_left, y0, y1, band: DifferenceBand):
 
     so the rounded coefficient 2 + 10 cf_i of the plain recurrence is never
     formed.  ``band`` supplies the storage with the constant entries set;
-    entries past the block's last row are never read by LAPACK.  Returns
-    the values y over the block.
+    entries past the block's last row are never read by LAPACK.
+
+    With ``tangent = (u0, u1)`` a second solve on the same band gives the
+    exact derivative of the block's values with respect to a parameter
+    that moves every cf by ``dcf``: differentiating a step row leaves the
+    band unchanged and puts dcf (y_{i+1} + 10 y_i + y_{i-1}) on its right
+    side.  Returns the values y over the block and the tangent (None
+    without ``tangent``).
     """
     m = cf.shape[0]
     # row j of band is column j of the LAPACK storage, so band.T needs no copy
@@ -114,11 +130,18 @@ def _banded_block(cf, cf_right, cf_left, y0, y1, band: DifferenceBand):
     np.negative(cf_left[:-2], out=band[:-4:2, 3])
     rhs = np.zeros(2 * m - 1, dtype=cf.dtype)
     rhs[:3] = y0, y1 - y0, y1
-    return solve_banded(band.T, rhs)[::2]
+    y = solve_banded(band.T, rhs)[::2]
+    if tangent is None:
+        return y, None
+    u0, u1 = tangent
+    rhs = np.zeros(2 * m - 1, dtype=cf.dtype)
+    rhs[:3] = u0, u1 - u0, u1
+    rhs[3::2] = dcf * (y[2:] + 10.0 * y[1:-1] + y[:-2])
+    return y, solve_banded(band.T, rhs)[::2]
 
 
 def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None,
-            band: DifferenceBand | None = None):
+            band: DifferenceBand | None = None, tangent=None):
     """Propagate y'' = f(x) y across equally spaced nodes given y[0], y[1].
 
     Returns ``(y, scale)`` where the computed values equal the exact
@@ -144,6 +167,15 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None,
     everything solved so far is divided by the block's peak modulus before
     the next block starts.  A block that still produces non-finite values
     raises :class:`BlockOverflowError`.
+
+    ``tangent = (u0, u1, df)`` also returns the tangent u = dy/dp of the
+    discrete solution for a parameter p that shifts f uniformly by
+    df = df/dp in every role (the energy: df = -2m), seeded with
+    u[0] = u0, u[1] = u1: ``(y, scale, u)``.  Each block then makes a
+    second LAPACK call on the same band, and u is divided by the same
+    peaks as y, so u equals ``scale`` times the exact tangent and the
+    p-dependence of ``scale`` cancels in every ratio of y and u.  Without
+    ``tangent`` nothing of the solve or its bits changes.
 
     ``band`` is storage kept by a caller that solves many times on one
     grid (:class:`DifferenceBand` of at least ``len(f)`` nodes); without
@@ -172,21 +204,33 @@ def numerov(f: np.ndarray, h: float, y0, y1, f_as_right=None, f_as_left=None,
     y = np.empty(n, dtype=dtype)
     y[0] = y0
     y[1] = y1
+    u = dcf = None
+    if tangent is not None:
+        u = np.empty(n, dtype=dtype)
+        u[0], u[1], df = tangent
+        dcf = c * df
     scale = 1.0
     start = block = 0
     while start + 2 < n:
         stop = min(start + m, n)
-        z = _banded_block(cf[start:stop], cf_right[start:stop], cf_left[start:stop],
-                          y[start], y[start + 1], band)
-        if not np.all(np.isfinite(z)):
+        seed = None if u is None else (u[start], u[start + 1])
+        z, w = _banded_block(cf[start:stop], cf_right[start:stop], cf_left[start:stop],
+                             y[start], y[start + 1], band, seed, dcf)
+        if not (np.all(np.isfinite(z)) and (w is None or np.all(np.isfinite(w)))):
             raise BlockOverflowError(h, kappa, block)
         y[start + 2 : stop] = z[2:]
+        if u is not None:
+            u[start + 2 : stop] = w[2:]
         if stop < n:
             peak = float(np.max(np.abs(y[start:stop])))
             y[:stop] /= peak
+            if u is not None:
+                u[:stop] /= peak
             scale /= peak
         start, block = stop - 2, block + 1
-    return y.astype(complex, copy=False), scale
+    if u is None:
+        return y.astype(complex, copy=False), scale
+    return y.astype(complex, copy=False), scale, u.astype(complex, copy=False)
 
 
 def _forward5(y: np.ndarray, i: int, h: float):

@@ -38,6 +38,7 @@ from .numerics import (
     numerov,
     principal_branch,
     taylor_first_step,
+    taylor_first_step_tangent,
     unwrap_nearest,
 )
 from .potentials import PotentialSpec
@@ -112,6 +113,9 @@ class RadialSolution:
     ``values[0] == 0`` (regularity of phi = r Psi) and ``origin_slope``
     records the normalization phi'(0) actually carried by ``values`` (unity
     unless a blocked Numerov solve rescaled the solution between blocks).
+    ``tangent_end`` is (u(r_max), u'(r_max)) for u = d(phi)/dE in the same
+    normalization (``origin_slope`` times the tangent of the phi'(0) = 1
+    solution), from a solve with ``tangent=True``; None otherwise.
     """
 
     grid: RadialGrid
@@ -121,6 +125,7 @@ class RadialSolution:
     mass: float
     potential: PotentialSpec
     origin_slope: complex = 1.0
+    tangent_end: tuple[complex, complex] | None = None
     diagnostics: dict = field(default_factory=dict)
     _f: np.ndarray | None = None
     _break_nodes: tuple = ()
@@ -140,6 +145,8 @@ class RadialSolution:
             values=self.values * factor,
             derivative_at_end=self.derivative_at_end * factor,
             origin_slope=self.origin_slope * factor,
+            tangent_end=None if self.tangent_end is None else
+            (self.tangent_end[0] * factor, self.tangent_end[1] * factor),
             diagnostics=dict(self.diagnostics),
         )
         return out
@@ -186,6 +193,22 @@ def _node_potentials(potential: PotentialSpec, grid: RadialGrid):
         if i is not None and 0 < i < grid.n_points - 1:
             breaks.append(i)
     return v_left, v_center, v_right, tuple(sorted(set(breaks))), jump
+
+
+def _end_slope(y, f, h: float, n: int, mass: float, u=None):
+    """The companion derivative at node n - 1, read through the extension node n.
+
+    With ``u``, the energy tangent of ``y``, also returns the E-derivative
+    of that slope (None without): f[n] - f[n - 2] does not move with E,
+    and the denominator moves by 2h (h^2/6)(-2m).
+    """
+    denom = 2.0 * h * (1.0 + (h * h / 6.0) * f[n - 1])
+    slope = (y[n] - y[n - 2] - (h * h / 6.0) * (f[n] - f[n - 2]) * y[n - 1]) / denom
+    if u is None:
+        return slope, None
+    d_slope = (u[n] - u[n - 2] - (h * h / 6.0) * (f[n] - f[n - 2]) * u[n - 1]
+               + slope * 2.0 * h * (h * h / 6.0) * 2.0 * mass) / denom
+    return slope, d_slope
 
 
 def _check_resolution(grid: RadialGrid, energy, mass: float, v: np.ndarray):
@@ -244,13 +267,20 @@ class RadialOperator:
         self._v_extremes = _extremes(self._v_center[:-1])
         self._band = DifferenceBand(grid.n_points + 1)
 
-    def solve(self, energy) -> RadialSolution:
+    def solve(self, energy, tangent: bool = False) -> RadialSolution:
         """Integrate outward from the origin at real or complex ``energy``.
 
         Normalization phi(0) = 0, phi'(0) = 1, recorded in ``origin_slope``.
         Where its growth bound allows overflow, the kernel solves in
         rescaled blocks; ``origin_slope`` then carries the accumulated scale
         and ``diagnostics["rescaled"]`` is set.
+
+        ``tangent=True`` also solves for the energy tangent u = d(phi)/dE
+        (u'' = f u - 2m phi, u(0) = u'(0) = 0): the exact E-derivative of
+        the discrete solve, one more triangular solve on the same band,
+        seeded with the derivative of the Taylor first step.  Its boundary
+        data go to ``tangent_end``; the values and every other field are
+        bit for bit those of a solve without it.
         """
         grid, mass = self.grid, self.mass
         _check_resolution(grid, energy, mass, self._v_extremes)
@@ -271,13 +301,19 @@ class RadialOperator:
             f_as_left[c - 1] -= 0.5 * df
             f[c] += h * slope_gap / 10.0 - h * h * df * df / 40.0
         y1 = taylor_first_step(0.0, 1.0, h, f[0], f[1])
-        y, scale = numerov(f, h, 0.0, y1, f_as_right=f_as_right, f_as_left=f_as_left,
-                           band=self._band)
+        seed = None
+        if tangent:
+            # f moves by -2m with E in every role: the break corrections
+            # hold only differences of f
+            seed = (0.0, taylor_first_step_tangent(0.0, 1.0, 0.0, 0.0, h, f[0], f[1], -2.0 * mass),
+                    -2.0 * mass)
+        out = numerov(f, h, 0.0, y1, f_as_right=f_as_right, f_as_left=f_as_left,
+                      band=self._band, tangent=seed)
+        y, scale = out[0], out[1]
+        u = out[2] if tangent else None
 
         n = grid.n_points
-        d_end = (
-            y[n] - y[n - 2] - (h * h / 6.0) * (f[n] - f[n - 2]) * y[n - 1]
-        ) / (2.0 * h * (1.0 + (h * h / 6.0) * f[n - 1]))
+        d_end, du_end = _end_slope(y, f, h, n, mass, u)
 
         return RadialSolution(
             grid=grid,
@@ -287,6 +323,7 @@ class RadialOperator:
             mass=mass,
             potential=self.potential,
             origin_slope=scale,
+            tangent_end=None if u is None else (complex(u[n - 1]), complex(du_end)),
             diagnostics={"rescaled": scale != 1.0, "truncation_jump": self._jump},
             _f=f[:n],
             _break_nodes=self._breaks,
@@ -428,7 +465,8 @@ class Barrier1DSolution:
     ``values`` holds Psi on the interior grid [0, L].  The incident flux is
     v = k/m (unit amplitude), recorded in ``incident_flux``.  ``operator``
     is the :class:`BarrierOperator` that solved it, for further energies
-    on the same grid.
+    on the same grid.  ``phase_time`` is |T|^2 d(arg T + kL)/dE +
+    |R|^2 d(arg R)/dE from a solve with ``tangent=True``; None otherwise.
     """
 
     grid: RadialGrid
@@ -442,6 +480,7 @@ class Barrier1DSolution:
     incident_flux: float
     flux_residual: float
     operator: "BarrierOperator" = field(repr=False, compare=False)
+    phase_time: float | None = None
 
 
 class BarrierOperator:
@@ -479,11 +518,14 @@ class BarrierOperator:
         self._v_rev = np.append(v[::-1], v[0])
         self._band = DifferenceBand(n + 1)
 
-    def solve(self, energy: float) -> Barrier1DSolution:
+    def solve(self, energy: float, tangent: bool = False) -> Barrier1DSolution:
         """Transmission, reflection and the interior wave at ``energy`` > 0.
 
         Integrates from the transmitted side back to x = 0 and matches
         plane waves; |R|^2 + |T|^2 - 1 is reported as ``flux_residual``.
+        ``tangent=True`` also solves for the energy tangent of the reversed
+        wave (see :meth:`RadialOperator.solve`) and reports the phase time
+        from the exact dR/dE and d(ln T)/dE, with no division by R.
         """
         if energy <= 0.0:
             raise DomainError("barrier scattering requires E > 0 (k = 0 is singular)")
@@ -498,12 +540,20 @@ class BarrierOperator:
         z0 = np.exp(1j * k * length)
         dz0 = -1j * k * z0  # d/d(xi) at xi = 0
         z1 = taylor_first_step(z0, dz0, h, f_rev[0], f_rev[1])
-        z, scale = numerov(f_rev, h, z0, z1, band=self._band)
+        dk = mass / k
+        seed = None
+        if tangent:
+            # the seeds move with E through k and through f
+            u0 = 1j * length * dk * z0
+            du0 = -1j * dk * z0 - 1j * k * u0
+            seed = (u0, taylor_first_step_tangent(z0, dz0, u0, du0, h, f_rev[0], f_rev[1],
+                                                  -2.0 * mass), -2.0 * mass)
+        out = numerov(f_rev, h, z0, z1, band=self._band, tangent=seed)
+        z, scale = out[0], out[1]
+        u = out[2] if tangent else None
 
         psi = z[:n][::-1].copy()
-        dpsi0_rev = (
-            z[n] - z[n - 2] - (h * h / 6.0) * (f_rev[n] - f_rev[n - 2]) * z[n - 1]
-        ) / (2.0 * h * (1.0 + (h * h / 6.0) * f_rev[n - 1]))
+        dpsi0_rev, du_rev = _end_slope(z, f_rev, h, n, mass, u)
         psi0 = psi[0]
         dpsi0 = -dpsi0_rev  # back to d/dx
 
@@ -514,6 +564,16 @@ class BarrierOperator:
         reflection = c * psi0 - 1.0
         transmission = scale * c
         psi *= c
+
+        phase_time = None
+        if tangent:
+            # the tangent carries the same block scale as z, so it cancels in
+            # d(ln c)/dE and in c u; the real scale adds nothing to Im(T'/T)
+            u_psi0, du_psi0 = u[n - 1], -du_rev
+            dlog_c = dk / k - (1j * dk * psi0 + 1j * k * u_psi0 + du_psi0) / (1j * k * psi0 + dpsi0)
+            d_reflection = c * (dlog_c * psi0 + u_psi0)
+            phase_time = float(abs(transmission) ** 2 * (dlog_c.imag + length * dk)
+                               + (np.conj(reflection) * d_reflection).imag)
 
         flux_residual = abs(abs(reflection) ** 2 + abs(transmission) ** 2 - 1.0)
         return Barrier1DSolution(
@@ -528,6 +588,7 @@ class BarrierOperator:
             incident_flux=k / mass,
             flux_residual=float(flux_residual),
             operator=self,
+            phase_time=phase_time,
         )
 
 

@@ -31,7 +31,7 @@ from .errors import DomainError
 from .numerics import simpson_segmented
 from .potentials import PotentialSpec
 from .radial import RadialGrid, RadialOperator, RadialSolution, auto_grid
-from .times import _stencil_delay
+from .times import tangent_phase_delay
 
 DEFAULT_ROOT_TOL = 1e-10
 MAX_ROOT_ITERATIONS = 50
@@ -259,15 +259,15 @@ def find_kp_eigenvalues(potential: PotentialSpec, mass: float, seeds, r0: float,
 
 
 def scan_resonance_seeds(potential: PotentialSpec, mass: float, e_range, n_scan: int,
-                         spacing: float | None = None,
-                         rel_step: float = 1e-4) -> list[complex]:
+                         spacing: float | None = None) -> list[complex]:
     """Seed eigenvalue guesses from maxima of the phase delay.
 
-    Each local maximum E_peak of 2 d(delta)/dE contributes the seed
-    W0 = E_peak - i / tau_phi(E_peak), consistent with a lifetime of about
-    half the peak delay for a sharp resonance.  Peaks whose implied width
-    dwarfs the scan window are differentiation noise (a flat delay curve
-    jitters at the 1e-6 level) and are discarded.  No maxima: empty list.
+    Each local maximum E_peak of 2 d(delta)/dE (one tangent solve per scan
+    energy) contributes the seed W0 = E_peak - i / tau_phi(E_peak),
+    consistent with a lifetime of about half the peak delay for a sharp
+    resonance.  Peaks whose implied width dwarfs the scan window are
+    discretization noise on a flat delay curve and are discarded.  No
+    maxima: empty list.
     """
     e_lo, e_hi = float(e_range[0]), float(e_range[1])
     if not (0.0 < e_lo < e_hi):
@@ -278,7 +278,8 @@ def scan_resonance_seeds(potential: PotentialSpec, mass: float, e_range, n_scan:
     r0 = potential.support_radius
     operator = RadialOperator(potential, mass,
                               auto_grid(potential, e_hi, mass, r_max=r0, spacing=spacing))
-    delays = np.array([_stencil_delay(operator, float(e), rel_step, r0) for e in energies])
+    delays = np.array([tangent_phase_delay(operator.solve(float(e), tangent=True))
+                       for e in energies])
 
     seeds: list[complex] = []
     for i in range(1, len(energies) - 1):

@@ -55,6 +55,7 @@ from .times import (
     outgoing_dwell_equals_phase,
     phase_time_delay,
     smith_identity_residual,
+    tangent_phase_delay,
     time_scan,
     winful_decomposition_1d,
 )
@@ -68,6 +69,7 @@ TOLERANCES = {
     "matching_radius": 1e-9,
     "log_derivative": 1e-6,
     "outgoing": 1e-6,
+    "tangent_stencil": 1e-6,
     "smith": 1e-5,
     # finite-step order estimates oscillate a few percent around the limit,
     # so the second-order check passes at 1.9 rather than a literal 2.0
@@ -84,7 +86,8 @@ TOLERANCES = {
 }
 
 # relative energy step of the identity checks' finite differences: the flat
-# part of the noise/truncation trade-off (the scans use DEFAULT_REL_STEP)
+# part of the noise/truncation trade-off (the scans differentiate by the
+# energy-tangent solve instead)
 IDENTITY_REL_STEP = 1e-3
 
 
@@ -277,9 +280,15 @@ def _time_report_row(rep: TimeReport) -> list:
             ";".join(rep.flags)]
 
 
-def _wave_rows(nodes: np.ndarray, values: np.ndarray) -> list:
-    """(r, Re phi, Im phi) rows of a dumped wave function, as Python floats."""
-    return np.column_stack((nodes, values.real, values.imag)).tolist()
+def write_wave_csv(path: Path, nodes: np.ndarray, values: np.ndarray) -> None:
+    """A dumped wave function as (r, Re phi, Im phi) rows: the bytes of :func:`write_csv`.
+
+    The body is one %-format of all cells; "%.17g" % x equals
+    format(x, ".17g") for every float, so no per-cell call is needed.
+    """
+    cells = np.column_stack((nodes, values.real, values.imag)).ravel().tolist()
+    body = ("%.17g,%.17g,%.17g\n" * len(nodes)) % tuple(cells)
+    atomic_write_text(path, "r,re_phi,im_phi\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +315,7 @@ def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path]
         nodes = RadialGrid.from_spacing(r0, num.grid_spacing).nodes()
         for idx, values in enumerate(wavefunctions):
             wf_path = path.with_name(f"{path.stem}_wavefunction_{idx:04d}.csv")
-            write_csv(wf_path, ["r", "re_phi", "im_phi"], _wave_rows(nodes, values))
+            write_wave_csv(wf_path, nodes, values)
             written.append(wf_path)
     print(f"[scatter_scan] {len(energies)} energies, max |delta| = "
           f"{max(abs(d) for d in deltas):.6g} -> {path}")
@@ -336,7 +345,7 @@ def run_winful_1d(config: dict, out_dir=None, dump=False) -> tuple[list[Path], i
 
     operator = BarrierOperator(potential, mass,
                                RadialGrid.from_spacing(potential.support_radius, num.grid_spacing))
-    reports = [winful_decomposition_1d(operator.solve(float(e))) for e in energies]
+    reports = [winful_decomposition_1d(operator.solve(float(e), tangent=True)) for e in energies]
     write_csv(path, _TIME_COLUMNS, [_time_report_row(r) for r in reports])
     flagged = sum(1 for r in reports if "threshold_singular" in r.flags)
     print(f"[winful_1d] {len(reports)} energies ({flagged} threshold-flagged) -> {path}")
@@ -385,8 +394,7 @@ def run_kp_find(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int
         for idx, pair in enumerate(result.eigenpairs):
             grid = pair.eigenfunction.grid
             ef_path = path.with_name(f"{path.stem}_eigenfunction_{idx:04d}.csv")
-            write_csv(ef_path, ["r", "re_phi", "im_phi"],
-                      _wave_rows(grid.nodes(), pair.eigenfunction.values))
+            write_wave_csv(ef_path, grid.nodes(), pair.eigenfunction.values)
             written.append(ef_path)
     print(f"[kp_find] {len(result.eigenpairs)} eigenpair(s), "
           f"{len(result.failures)} failed seed(s) -> {path}")
@@ -497,6 +505,10 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     rel = IDENTITY_REL_STEP
     worst_ld = 0.0
     worst_og = 0.0
+    worst_tangent = 0.0
+    # the scans' tangent delay against the independent stencil, on its grid
+    support_operator = RadialOperator(potential, mass,
+                                      RadialGrid.from_spacing(support, num.grid_spacing))
     for e in energies[:: max(1, len(energies) // 8)]:
         e = float(e)
         ld = kp_log_derivative_dwell(potential, e, mass, r0=support, rel_step=rel,
@@ -505,11 +517,14 @@ def _radial_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                               spacing=num.grid_spacing)
         tau0 = mass * support / math.sqrt(2.0 * mass * e)
         worst_ld = max(worst_ld, abs(ld.value - (pd + tau0)))
+        td = tangent_phase_delay(support_operator.solve(e, tangent=True))
+        worst_tangent = max(worst_tangent, abs(td - pd))
         og = outgoing_dwell_equals_phase(potential, e, mass, r0=support, rel_step=rel,
                                          spacing=num.grid_spacing)
         worst_og = max(worst_og, abs(og.difference))
     out.append(_check_le("log_derivative_dwell_identity", worst_ld, tol["log_derivative"]))
     out.append(_check_le("outgoing_dwell_equals_phase", worst_og, tol["outgoing"]))
+    out.append(_check_le("tangent_delay_vs_stencil", worst_tangent, tol["tangent_stencil"]))
 
     e_mid = float(energies[len(energies) // 2])
     smith = smith_identity_residual(potential, e_mid, mass, spacing=1e-3, rel_step=1e-4)
@@ -570,15 +585,15 @@ def _barrier_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
                                RadialGrid.from_spacing(potential.support_radius, num.grid_spacing))
     results = []
     for e in energies[energies >= DEFAULT_E_MIN]:
-        barrier = operator.solve(float(e))
-        rep = winful_decomposition_1d(barrier, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
+        barrier = operator.solve(float(e), tangent=True)
+        rep = winful_decomposition_1d(barrier, tol=tol["winful"])
         results.append((barrier.flux_residual, rep))
     out.append(_check_le("flux_conservation", max(r[0] for r in results), tol["flux"]))
     out.append(_check_le("winful_identity",
                          max(abs(r[1].winful_residual) for r in results), tol["winful"]))
 
-    low = operator.solve(0.01)
-    low_rep = winful_decomposition_1d(low, rel_step=IDENTITY_REL_STEP, tol=tol["winful"])
+    low = operator.solve(0.01, tangent=True)
+    low_rep = winful_decomposition_1d(low, tol=tol["winful"])
     flagged = 1.0 if "threshold_singular" in low_rep.flags else 0.0
     out.append(_check_ge("winful_threshold_flag", flagged, 1.0))
     return out

@@ -42,6 +42,7 @@ from .radial import (
     Barrier1DSolution,
     RadialGrid,
     RadialOperator,
+    RadialSolution,
     auto_grid,
     default_spacing,
     match_scattering,
@@ -139,6 +140,34 @@ def _jumpy(deltas: np.ndarray) -> bool:
     return bool(np.any(np.abs(np.diff(deltas)) > 0.5 * math.pi))
 
 
+def tangent_phase_delay(solution: RadialSolution) -> float:
+    """Wigner delay 2 d(delta)/dE at the grid end from a solve with ``tangent=True``.
+
+    With a = k phi, b = phi' at r0 = r_max, delta = atan2(a, b) - k r0, so
+
+        d(delta)/dE = (b da - a db) / (a^2 + b^2) - r0 m / k,
+        da = (m/k) phi + k u,   db = u',
+
+    with u = d(phi)/dE.  The ratio is unchanged by any constant factor
+    common to phi and u, complex ones included, so raw, block-rescaled
+    and flux-normalized solutions give the same delay.  This is the
+    production route to the delay; :func:`phase_time_delay` differences
+    delta independently.
+    """
+    if solution.tangent_end is None:
+        raise DomainError("the phase delay needs a solve with tangent=True")
+    if complex(solution.energy).imag != 0.0 or complex(solution.energy).real <= 0.0:
+        raise DomainError("the phase delay needs a real energy E > 0")
+    mass = solution.mass
+    k = math.sqrt(2.0 * mass * complex(solution.energy).real)
+    phi = complex(solution.values[-1])
+    u, du = solution.tangent_end
+    a, b = k * phi, solution.derivative_at_end
+    da, db = (mass / k) * phi + k * u, du
+    ratio = (b * da - a * db) / (a * a + b * b)
+    return 2.0 * (ratio.real - solution.grid.r_max * mass / k)
+
+
 def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
                      rel_step: float = DEFAULT_REL_STEP, r0: float | None = None,
                      spacing: float | None = None) -> float:
@@ -146,7 +175,8 @@ def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
 
     The stencil uses relative step ``rel_step`` and the same step halved;
     a branch jump inside the stencil triggers one retry with a tighter
-    stencil before giving up.
+    stencil before giving up.  The identity checks use it as the route
+    independent of :func:`tangent_phase_delay`.
     """
     if r0 is None:
         r0 = potential.support_radius
@@ -154,15 +184,8 @@ def phase_time_delay(potential: PotentialSpec, energy: float, mass: float,
     return _stencil_delay(RadialOperator(potential, mass, grid), energy, rel_step, r0)
 
 
-def _stencil_delay(operator: RadialOperator, energy: float, rel_step: float, r0: float,
-                   centre_delta: float | None = None) -> float:
-    """The stencil of :func:`phase_time_delay`, solved by a given operator.
-
-    ``centre_delta`` is delta at ``energy`` itself on the operator's grid
-    and matching radius, for callers that have already solved there; it is
-    the value the stencil's centre solve would return, so passing it
-    changes no result.
-    """
+def _stencil_delay(operator: RadialOperator, energy: float, rel_step: float, r0: float) -> float:
+    """The stencil of :func:`phase_time_delay`, solved by a given operator."""
     def delta_at(e) -> float:
         return match_scattering(operator.solve(float(e)), r0).delta
 
@@ -171,10 +194,7 @@ def _stencil_delay(operator: RadialOperator, energy: float, rel_step: float, r0:
         h = step * energy
         if energy - 2.0 * h <= 0.0:
             raise DomainError("energy too close to threshold for the differentiation stencil")
-        if centre_delta is None:
-            centre_delta = delta_at(energy)
-        raw = [delta_at(e) for e in energy + np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * h]
-        raw.insert(3, centre_delta)
+        raw = [delta_at(e) for e in energy + np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * h]
         deltas = unwrap_nearest(np.array(raw), math.pi)
         if not _jumpy(deltas):
             d_h = five_point_derivative(deltas[0], deltas[1], deltas[5], deltas[6], h)
@@ -186,13 +206,15 @@ def _stencil_delay(operator: RadialOperator, energy: float, rel_step: float, r0:
     )
 
 
-def winful_decomposition_1d(barrier: Barrier1DSolution, rel_step: float = DEFAULT_REL_STEP,
-                            e_min: float = DEFAULT_E_MIN, tol: float = 1e-6) -> TimeReport:
+def winful_decomposition_1d(barrier: Barrier1DSolution, e_min: float = DEFAULT_E_MIN,
+                            tol: float = 1e-6) -> TimeReport:
     """Split the 1-d barrier dwell time into phase time plus self-interference.
 
     Checks tau_phi = tau_D - Im(R)/k * dk/dE and stores the residual.
-    Below ``e_min`` the interference term is threshold-singular and the
-    report is flagged instead of checked.
+    The phase time is the barrier's tangent-solve ``phase_time``; a
+    solution solved without the tangent is solved again with it.  Below
+    ``e_min`` the interference term is threshold-singular and the report
+    is flagged instead of checked.
     """
     energy, mass, k = barrier.energy, barrier.mass, barrier.k
     extent = barrier.potential.support_radius
@@ -200,26 +222,9 @@ def winful_decomposition_1d(barrier: Barrier1DSolution, rel_step: float = DEFAUL
     dwell = dwell_time(barrier, (0.0, extent), barrier.incident_flux)
     tau_dwell = dwell.value
 
-    h = rel_step * energy
-    if energy - 2.0 * h <= 0.0:
-        raise DomainError("energy too close to threshold for the differentiation stencil")
-    offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * h
-    sols = [barrier if off == 0.0 else barrier.operator.solve(energy + float(off))
-            for off in offsets]
-    # transmission phase at the exit plane: arg T + kL (k varies over the
-    # stencil); with it the weighted sum is the phase time, not a delay
-    th_t = unwrap_nearest(
-        np.array([np.angle(s.transmission) + s.k * extent for s in sols]), 2.0 * math.pi)
-    th_r = unwrap_nearest(np.array([np.angle(s.reflection) for s in sols]), 2.0 * math.pi)
-
-    def deriv(th):
-        d_h = five_point_derivative(th[0], th[1], th[5], th[6], h)
-        d_half = five_point_derivative(th[1], th[2], th[4], th[5], 0.5 * h)
-        return richardson4(d_h, d_half)
-
-    t2 = abs(barrier.transmission) ** 2
-    r2 = abs(barrier.reflection) ** 2
-    tau_phase = t2 * deriv(th_t) + r2 * deriv(th_r)
+    tau_phase = barrier.phase_time
+    if tau_phase is None:
+        tau_phase = barrier.operator.solve(energy, tangent=True).phase_time
 
     dk_de = mass / k
     interference = barrier.reflection.imag / k * dk_de
@@ -418,12 +423,12 @@ def kp_log_derivative_dwell(potential: PotentialSpec, energy: float, mass: float
 
 
 def time_scan(potential: PotentialSpec, mass: float, energies, r0: float,
-              spacing: float | None = None, rel_step: float = DEFAULT_REL_STEP,
-              e_min: float = DEFAULT_E_MIN) -> list[TimeReport]:
+              spacing: float | None = None, e_min: float = DEFAULT_E_MIN) -> list[TimeReport]:
     """TimeReport per energy for a radial scattering scan on [0, r0].
 
     Uses the unit-incident-flux normalization, so the dwell time is the
-    probability integral itself.
+    probability integral itself.  Each energy is one solve with its energy
+    tangent, which gives the phase delay (:func:`tangent_phase_delay`).
     """
     energies = np.asarray(energies, dtype=float)
     if spacing is None:
@@ -432,11 +437,11 @@ def time_scan(potential: PotentialSpec, mass: float, energies, r0: float,
     reports = []
     for e in energies:
         e = float(e)
-        sol = operator.solve(e)
+        sol = operator.solve(e, tangent=True)
         obs = match_scattering(sol, r0)
         normalized = sol.rescaled(obs.normalization)
         dres = dwell_time(normalized, (0.0, r0), 1.0)
-        phase_delay = _stencil_delay(operator, e, rel_step, r0, centre_delta=obs.delta)
+        phase_delay = tangent_phase_delay(sol)
         tau_free = mass * r0 / obs.k
         flags: tuple[str, ...] = ()
         if dres.snapped:

@@ -13,6 +13,7 @@ import cmath
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import sympy as sp
 from scipy.linalg.lapack import dtbtrs, ztbtrs
@@ -91,6 +92,32 @@ def barrier_amplitudes(energy: float, mass: float, height: float, width: float):
     rhs = np.array([-1, -1j * k, 0, 0], dtype=complex)
     r, a, b, t = np.linalg.solve(mat, rhs)
     return r, a, b, t
+
+
+def barrier_phase_time(energy: float, mass: float, height: float, width: float) -> float:
+    """|T|^2 d(arg T + kL)/dE + |R|^2 d(arg R)/dE of the rectangular barrier (E != V0).
+
+    R and T in closed form (interior wavenumber q, imaginary below the
+    top), evaluated and differentiated in E by mpmath at 30 digits, so the
+    exponentially small T of an opaque barrier keeps its digits.
+    """
+    with mpmath.workdps(30):
+        m, v0, length = mpmath.mpf(mass), mpmath.mpf(height), mpmath.mpf(width)
+
+        def amplitudes(e):
+            k = mpmath.sqrt(2 * m * e)
+            q = mpmath.sqrt(mpmath.mpc(2 * m * (e - v0)))
+            s, c = mpmath.sin(q * length), mpmath.cos(q * length)
+            denom = c - 1j * (k * k + q * q) / (2 * k * q) * s
+            return 1j * (q * q - k * k) / (2 * k * q) * s / denom, mpmath.exp(-1j * k * length) / denom
+
+        e = mpmath.mpf(energy)
+        r, t = amplitudes(e)
+        dr = mpmath.diff(lambda x: amplitudes(x)[0], e)
+        dt = mpmath.diff(lambda x: amplitudes(x)[1], e)
+        k = mpmath.sqrt(2 * m * e)
+        return float(mpmath.im(mpmath.conj(t) * dt) + abs(t) ** 2 * m * length / k
+                     + mpmath.im(mpmath.conj(r) * dr))
 
 
 def barrier_interior_dwell(energy: float, mass: float, height: float, width: float,

@@ -45,3 +45,14 @@ def test_numerov_returns_values_and_scale():
     out = numerov(np.zeros(5), 0.1, 0.0, 0.1)
     assert isinstance(out, tuple) and len(out) == 2
     assert out[1] == 1.0
+
+
+def test_tangent_numerov_keeps_scale_at_index_1():
+    # the rescue counter reads out[1] of tangent-carrying calls too
+    from dwelltime.numerics import numerov
+    out = numerov(np.zeros(5), 0.1, 0.0, 0.1, tangent=(0.0, 0.0, -2.0))
+    assert isinstance(out, tuple) and len(out) == 3
+    assert out[1] == 1.0
+    f = np.full(2001, 2500.0)  # grows by e^100 per block: a rescaled solve
+    out = numerov(f, 1.0, 1.0, 1.0, tangent=(0.0, 0.0, -2.0))
+    assert out[1] < 1.0 and out[1] == numerov(f, 1.0, 1.0, 1.0)[1]

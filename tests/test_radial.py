@@ -38,13 +38,15 @@ from dwelltime.radial import (
 )
 from dwelltime.resonance import find_kp_eigenvalues
 from dwelltime.scenarios import run_scenario
-from dwelltime.times import time_scan
+from dwelltime.times import phase_time_delay, tangent_phase_delay, time_scan
 
 from reference import (
     barrier_amplitudes,
+    barrier_phase_time,
     one_shot_barrier,
     one_shot_radial,
     repulsive_step_delta,
+    square_well_delay,
     square_well_delta,
 )
 
@@ -606,3 +608,147 @@ class TestPreparedOnce:
                              wavefunctions=wavefunctions)
             for e, values in zip(energies, wavefunctions):
                 assert np.array_equal(values, one_shot_radial(potential, float(e), 1.0, grid)[0])
+
+
+class TestEnergyTangent:
+    """The tangent solve is the exact E-derivative of the discrete solve."""
+
+    # real-energy counterparts of TestPreparedOperator.RADIAL_CASES, plus a
+    # deep repulsive step that runs in rescaled blocks
+    RADIAL_CASES = {
+        "square_well": (square_well(10.0, 1.0), RadialGrid.from_spacing(2.0, 1e-3), [1.3, 0.2]),
+        "gaussian_cutoff": (gaussian_well(5.0, 0.5), RadialGrid.from_spacing(2.5, 1e-3), [0.7]),
+        "tabulated_kinks": (TRAP, RadialGrid.from_spacing(2.0, 1e-3), [4.7675, 2.0]),
+        "blocked": (square_well(-3.0e5, 2.0), RadialGrid.from_spacing(2.5, 2e-4), [1.0, 5.0]),
+    }
+
+    @staticmethod
+    def _central_delay(operator, energy: float, eps: float) -> float:
+        def delta(e):
+            return match_scattering(operator.solve(e), operator.grid.r_max).delta
+
+        diff = delta(energy + eps) - delta(energy - eps)
+        return 2.0 * (diff - math.pi * round(diff / math.pi)) / (2.0 * eps)
+
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_delay_is_the_limit_of_central_differences(self, case):
+        potential, grid, energies = self.RADIAL_CASES[case]
+        operator = RadialOperator(potential, 1.0, grid)
+        for e in energies:
+            sol = operator.solve(e, tangent=True)
+            assert sol.diagnostics["rescaled"] == case.startswith("blocked")
+            delay = tangent_phase_delay(sol)
+            eps = 1e-3 * e
+            coarse = abs(self._central_delay(operator, e, eps) - delay)
+            fine = abs(self._central_delay(operator, e, eps / 2.0) - delay)
+            # the central difference closes in on the tangent as eps^2
+            assert 3.5 < coarse / fine < 4.5
+            assert fine < 1e-3 * max(abs(delay), 1.0)
+
+    def test_complex_energy_tangent_matches_central_differences(self, sw10):
+        operator = RadialOperator(sw10, 1.0, RadialGrid.from_spacing(1.0, 1e-3))
+        w, eps = complex(1.17, -1.57), 1e-4
+        u, du = operator.solve(w, tangent=True).tangent_end
+        plus, minus = operator.solve(w + eps), operator.solve(w - eps)
+        assert u == pytest.approx((plus.values[-1] - minus.values[-1]) / (2.0 * eps), rel=1e-8)
+        assert du == pytest.approx(
+            (plus.derivative_at_end - minus.derivative_at_end) / (2.0 * eps), rel=1e-8)
+
+    def test_opaque_barrier_phase_time_is_the_reflection_phase_slope(self):
+        # e^{-kappa L} underflows: the phase time is |R|^2 d(arg R)/dE alone
+        operator = BarrierOperator(rectangular_barrier(2000.0, 14.3), 1.0,
+                                   RadialGrid.from_spacing(14.3, 1e-3))
+        e, eps = 10.0, 1e-3
+        sol = operator.solve(e, tangent=True)
+        arg = [np.angle(operator.solve(e + s * eps).reflection) for s in (-1.0, 1.0)]
+        assert sol.phase_time == pytest.approx((arg[1] - arg[0]) / (2.0 * eps), rel=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(TestPreparedOperator.RADIAL_CASES))
+    def test_tangent_leaves_the_radial_solve_bitwise_unchanged(self, case):
+        potential, grid, energies = TestPreparedOperator.RADIAL_CASES[case]
+        operator = RadialOperator(potential, 1.0, grid)
+        for e in energies:
+            plain, with_tangent = operator.solve(e), operator.solve(e, tangent=True)
+            assert plain.tangent_end is None and with_tangent.tangent_end is not None
+            assert np.array_equal(with_tangent.values, plain.values)
+            assert np.array_equal(with_tangent.derivative_at_end, plain.derivative_at_end)
+            assert np.array_equal(with_tangent.origin_slope, plain.origin_slope)
+
+    @pytest.mark.parametrize("case", sorted(TestPreparedOperator.BARRIER_CASES))
+    def test_tangent_leaves_the_barrier_solve_bitwise_unchanged(self, case):
+        potential, spacing, energies = TestPreparedOperator.BARRIER_CASES[case]
+        operator = BarrierOperator(potential, 1.0,
+                                   RadialGrid.from_spacing(potential.support_radius, spacing))
+        for e in energies:
+            plain, with_tangent = operator.solve(e), operator.solve(e, tangent=True)
+            assert plain.phase_time is None and with_tangent.phase_time is not None
+            assert np.array_equal(with_tangent.values, plain.values)
+            assert np.array_equal(with_tangent.reflection, plain.reflection)
+            assert np.array_equal(with_tangent.transmission, plain.transmission)
+
+    def test_rescaling_keeps_the_delay(self, sw10):
+        sol = RadialOperator(sw10, 1.0, RadialGrid.from_spacing(2.0, 1e-3)).solve(1.3, tangent=True)
+        obs = match_scattering(sol)
+        assert tangent_phase_delay(sol.rescaled(obs.normalization)) == pytest.approx(
+            tangent_phase_delay(sol), rel=1e-12)
+
+    def test_delay_needs_the_tangent_and_a_real_energy(self, sw10):
+        operator = RadialOperator(sw10, 1.0, RadialGrid.from_spacing(1.0, 1e-3))
+        with pytest.raises(DomainError, match="tangent"):
+            tangent_phase_delay(operator.solve(1.0))
+        with pytest.raises(DomainError, match="real energy"):
+            tangent_phase_delay(operator.solve(complex(1.0, -0.1), tangent=True))
+
+
+class TestTangentDelayRefinement:
+    """Grid refinement: the tangent delay converges as h^4 with no floor."""
+
+    ENERGIES = np.linspace(0.3, 9.0, 25)
+
+    def _max_rel_error(self, sw10, spacing):
+        operator = RadialOperator(sw10, 1.0, RadialGrid.from_spacing(1.0, spacing))
+        return max(abs(tangent_phase_delay(operator.solve(float(e), tangent=True))
+                       / square_well_delay(float(e), 1.0, 10.0, 1.0) - 1.0)
+                   for e in self.ENERGIES)
+
+    def test_halving_the_spacing_cuts_the_error_eightfold(self, sw10):
+        assert self._max_rel_error(sw10, 2e-3) >= 8.0 * self._max_rel_error(sw10, 1e-3)
+
+    def test_fine_grid_error_below_2e_11(self, sw10):
+        assert self._max_rel_error(sw10, 5e-4) < 2e-11
+
+
+class TestBarrierPhaseTime:
+    """The tangent phase time against the closed-form rectangular barrier."""
+
+    @pytest.mark.parametrize("height,width", [(8.0, 1.0), (5.0, 1.0), (10.0, 0.5)])
+    def test_rectangular_barriers(self, height, width):
+        operator = BarrierOperator(rectangular_barrier(height, width), 1.0,
+                                   RadialGrid.from_spacing(width, 1e-3))
+        for e in np.linspace(0.3, 12.0, 13):
+            want = barrier_phase_time(float(e), 1.0, height, width)
+            assert operator.solve(float(e), tangent=True).phase_time == pytest.approx(want, rel=1e-10)
+
+    def test_opaque_blocked_barrier(self):
+        operator = BarrierOperator(rectangular_barrier(2000.0, 14.3), 1.0,
+                                   RadialGrid.from_spacing(14.3, 1e-3))
+        for e in (10.0, 12.0):
+            sol = operator.solve(e, tangent=True)
+            assert sol.transmission == 0.0  # the block scale underflows
+            assert sol.phase_time == pytest.approx(
+                barrier_phase_time(e, 1.0, 2000.0, 14.3), rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), end_value=st.sampled_from([0.0, -2.0]),
+       energies=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=2))
+def test_tangent_delay_equals_stencil_delay_on_random_wells(data, end_value, energies):
+    h = 2e-3
+    potential = _table(data, h, st.floats(-15.0, 5.0), end_value)
+    r0 = potential.support_radius
+    operator = RadialOperator(potential, 1.0, RadialGrid.from_spacing(r0, h))
+    for e in energies:
+        stencil = phase_time_delay(potential, e, 1.0, rel_step=1e-3, spacing=h)
+        # relative to the delay, or to the free time where the delay crosses 0
+        scale = max(abs(stencil), r0 / math.sqrt(2.0 * e))
+        assert abs(tangent_phase_delay(operator.solve(e, tangent=True)) - stencil) <= 1e-6 * scale

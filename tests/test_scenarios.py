@@ -20,6 +20,7 @@ from dwelltime.scenarios import (
     parse_numerics,
     run_scenario,
     write_csv,
+    write_wave_csv,
 )
 
 SW = {"kind": "square_well", "params": {"V0": 10.0, "a": 1.0}, "support_radius": 1.0}
@@ -125,6 +126,17 @@ class TestScatterScan:
         dump = tmp_path / "s_wavefunction_0000.csv"
         assert dump.exists()
         assert dump.read_text().splitlines()[0] == "r,re_phi,im_phi"
+
+    def test_wave_writer_matches_the_per_cell_writer(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -1.0 / 3.0]
+        nodes = np.array(special + list(np.linspace(0.0, 2.0, 5)))
+        values = np.array([complex(a, b) for a, b in zip(special[::-1] + [0.0] * 5,
+                                                        np.r_[special[2:], special[:2], 1e-300,
+                                                              -2.5, 7.0, 3e15, -0.0])])
+        rows = np.column_stack((nodes, values.real, values.imag)).tolist()
+        write_csv(tmp_path / "cells.csv", ["r", "re_phi", "im_phi"], rows)
+        write_wave_csv(tmp_path / "one.csv", nodes, values)
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     def test_dwell_rejects_wavefunction_dump(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -5,7 +5,13 @@ import pytest
 
 from dwelltime.errors import DomainError, NodeAtBoundaryError
 from dwelltime.potentials import rectangular_barrier, square_well, tabulated_potential
-from dwelltime.radial import RadialGrid, integrate_radial, scattering_solution, solve_barrier_1d
+from dwelltime.radial import (
+    BarrierOperator,
+    RadialGrid,
+    integrate_radial,
+    scattering_solution,
+    solve_barrier_1d,
+)
 from dwelltime.times import (
     dwell_time,
     kp_log_derivative_dwell,
@@ -18,6 +24,7 @@ from dwelltime.times import (
 
 from reference import (
     barrier_interior_dwell,
+    barrier_phase_time,
     repulsive_step_delay,
     square_well_delay,
     square_well_interior_dwell,
@@ -137,6 +144,14 @@ class TestWinful1D:
         assert rep.self_interference == rep.dwell_delay - rep.phase_delay
         assert rep.tau_free == 1.0 * 1.0 / math.sqrt(2.0 * energy)
 
+    def test_phase_time_is_the_tangent_solve_and_matches_closed_form(self, barrier5):
+        operator = BarrierOperator(barrier5, 1.0, RadialGrid.from_spacing(1.0, 1e-3))
+        for e in (0.2, 2.5, 9.5):
+            rep = winful_decomposition_1d(operator.solve(e, tangent=True))
+            # a solution solved without the tangent is solved again with it
+            assert winful_decomposition_1d(operator.solve(e)) == rep
+            assert rep.tau_phase == pytest.approx(barrier_phase_time(e, 1.0, 5.0, 1.0), rel=1e-10)
+
     def test_threshold_is_flagged_not_asserted(self, barrier5):
         rep = winful_decomposition_1d(solve_barrier_1d(barrier5, 0.01, 1.0))
         assert "threshold_singular" in rep.flags
@@ -232,3 +247,14 @@ class TestTimeScan:
         reports = time_scan(sw10, 1.0, [0.02, 0.5], r0=1.0, e_min=0.05)
         assert "threshold_singular" in reports[0].flags
         assert "threshold_singular" not in reports[1].flags
+
+    def test_phase_delay_against_symbolic_derivative(self, sw10):
+        energies = np.linspace(0.3, 9.0, 12)
+        for e, rep in zip(energies, time_scan(sw10, 1.0, energies, r0=1.0, spacing=1e-3)):
+            want = square_well_delay(float(e), 1.0, 10.0, 1.0)
+            # relative to the free time where the delay crosses zero
+            assert abs(rep.phase_delay - want) < 2e-10 * max(abs(want), rep.tau_free)
+
+    def test_nonpositive_energy_is_domain_error(self, sw10):
+        with pytest.raises(DomainError):
+            time_scan(sw10, 1.0, [0.0, 1.0], r0=1.0)
