@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import NamedTuple
 
@@ -63,8 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config = args.config
     if config is None:
         config = bundled_regression_config()

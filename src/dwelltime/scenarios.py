@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -127,16 +128,67 @@ def _expect(obj: dict, key: str, kinds, context: str, required: bool = True, def
     return value
 
 
+class _NonFinite(str):
+    """A JSON number token with no finite double value, kept until its key is known."""
+
+
+def _key_path(obj, target, where: str) -> str | None:
+    """Key path of ``target`` (found by identity) inside ``obj``, below ``where``."""
+    if obj is target:
+        return where
+    if isinstance(obj, dict):
+        items = ((f"{where}.{key}" if where else key, value) for key, value in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{where}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _key_path(value, target, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def load_config(path) -> dict:
+    """Parse a config file; every JSON number in it must be a finite double.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and ``-Infinity``, turns
+    ``1e999`` into inf and keeps integers too large for a float; each is
+    rejected here, naming its token and key path.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
+    non_finite = []
+
+    def reject(token: str) -> _NonFinite:
+        non_finite.append(_NonFinite(token))
+        return non_finite[-1]
+
+    def real(token: str):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
+
+    def integer(token: str):
+        try:
+            value = int(token)
+        except ValueError:  # more digits than the interpreter converts
+            return reject(token)
+        return value if abs(value) <= sys.float_info.max else reject(token)
+
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"),
+                         parse_constant=reject, parse_float=real, parse_int=integer)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError(f"config {path}: expected a JSON object at top level")
+    if non_finite:
+        token = non_finite[0]
+        scenario = obj.get("scenario")
+        where = _key_path(obj, token, scenario if isinstance(scenario, str) else "")
+        shown = token if len(token) <= 24 else f"{token[:12]}... ({len(token)} characters)"
+        raise ConfigurationError(f"config {path}: {where}: {shown} is not a finite double")
     return obj
 
 

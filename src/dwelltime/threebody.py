@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson as _scipy_simpson
 
 from .errors import (
     ConfigurationError,
@@ -186,6 +185,15 @@ class ThreeBodyReport:
             "identity_residual": self.identity_residual,
             "continuity_residual": self.continuity_residual,
         }
+
+
+def _scipy_simpson(y: np.ndarray, dx: float):
+    """scipy's Simpson rule.  ``scipy.integrate`` is imported on the first
+    call: nothing else needs it, and importing it at start-up would make
+    every CLI run pay for a check only ``threebody`` and ``verify`` make."""
+    from scipy.integrate import simpson
+
+    return simpson(y, dx=dx)
 
 
 def factorization_residual(eig_r: ResonanceEigenpair, eig_rho: ResonanceEigenpair) -> float:

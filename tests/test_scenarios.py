@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +13,8 @@ import pytest
 
 import dwelltime.scenarios as scenarios
 import dwelltime.threebody as threebody
-from dwelltime.cli import COMMANDS, main
+from dwelltime import cli
+from dwelltime.cli import COMMANDS, build_parser, main
 from dwelltime.errors import ConfigurationError
 from dwelltime.potentials import PotentialSpec
 from dwelltime.radial import phase_shift_scan
@@ -390,6 +396,41 @@ class TestConfigContract:
                                           "mass": 1.0, "energy_range": [0.5, 1.0, count]})
         assert "scatter_scan.energy_range" in out
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                                       "1" * 400, "-" + "9" * 5000],
+                             ids=["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                                  "int400", "int-5000"])
+    @pytest.mark.parametrize("payload,key", [
+        ({"scenario": "scatter_scan", "potential": SW, "mass": "@",
+          "energy_range": [0.5, 1.0, 2]}, "scatter_scan.mass"),
+        ({"scenario": "dwell_scan", "potential": SW, "mass": 1.0,
+          "energy_range": [0.5, 1.0, 2], "r0": "@"}, "dwell_scan.r0"),
+        ({"scenario": "scatter_scan", "mass": 1.0, "energy_range": [0.5, 1.0, 2],
+          "potential": {"kind": "tabulated", "r": [0.0, 0.5, 1.0], "v": [-5.0, "@", 0.0]}},
+         "scatter_scan.potential.v[1]"),
+        (kp_config(seeds=[["@", -1]]), "kp_find.seeds[0][0]"),
+        (kp_config(numerics={"k_mode": "probe", "k_fixed": "@"}), "kp_find.numerics.k_fixed"),
+    ], ids=["mass", "r0", "table_v", "seeds", "k_fixed"])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, capsys, token, payload, key):
+        # json reads NaN and +-Infinity, turns 1e999 into inf and keeps
+        # integers no float can hold; these ran into physics failures or
+        # tracebacks
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace('"@"', token), encoding="utf-8")
+        assert run_scenario(path, out_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        out = capsys.readouterr().out
+        assert f"{key}: {token if len(token) <= 24 else token[:12]}" in out
+
+    def test_finite_extremes_load_unchanged(self, tmp_path):
+        text = '{"a": 1e308, "b": -0.0, "c": 5e-324, "d": %d, "e": [1, 2.5]}' % 10 ** 300
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_config(path)
+        assert loaded == json.loads(text)
+        assert [type(v) for v in loaded.values()] == [float, float, float, int, list]
+        assert math.copysign(1.0, loaded["b"]) == -1.0
+
     def test_three_body_potential_error_names_its_key(self, tmp_path, capsys):
         payload = three_body_config(seeds_r=[[0.8, -0.6]], seeds_rho=[[1.4, -1.0]])
         payload["potential_rho"] = {"kind": "square_wel", "params": {}}
@@ -476,3 +517,84 @@ def test_free_phase_check_reads_the_configured_scan(tmp_path):
                                  r0=5.0, spacing=1e-3)
     assert report["phase_shift_zero"]["value"] == float(np.max(np.abs(deltas)))
     assert report["phase_shift_zero"]["pass"]
+
+
+SCATTER = {"scenario": "scatter_scan", "potential": SW, "mass": 1.0,
+           "energy_range": [0.5, 1.0, 2], "output": {"path": "s.csv"}}
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the parser ``main`` has cached, before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestCommandLine:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, fresh_parser):
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cfg = str(write_config(tmp_path, SCATTER))
+        assert main(["scatter", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["scatter", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in COMMANDS],
+                             ids=["top"] + list(COMMANDS))
+    def test_help_is_that_of_a_fresh_parser(self, argv, fresh_parser):
+        def printed(parse):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            return out.getvalue()
+
+        first = printed(main)
+        again = printed(main)  # the cached parser, used once already
+        assert first == again == printed(build_parser().parse_args)
+
+    def test_a_rejected_command_line_leaves_the_parser_usable(self, tmp_path, fresh_parser):
+        dwell = write_config(tmp_path, {**SCATTER, "scenario": "dwell_scan", "r0": 1.0,
+                                        "output": {"path": "d.csv"}}, "dwell.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["dwell", "--config", str(dwell), "--out", str(tmp_path), "--dump-wavefunction"])
+        assert exc.value.code == 2
+        scatter = write_config(tmp_path, SCATTER, "scatter.json")
+        assert main(["scatter", "--config", str(scatter), "--out", str(tmp_path),
+                     "--dump-wavefunction"]) == 0
+        assert (tmp_path / "s_wavefunction_0000.csv").exists()
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_scipy_integrate_loads_only_for_the_three_body_check(self, tmp_path):
+        # a fresh interpreter, so that no earlier test has imported it
+        code = """
+import json, sys
+loaded = lambda: "scipy.integrate" in sys.modules
+steps = {}
+import dwelltime
+steps["import dwelltime"] = loaded()
+import dwelltime.cli
+steps["import dwelltime.cli"] = loaded()
+from dwelltime.cli import main
+assert main(["scatter", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+steps["scatter job"] = loaded()
+assert main(["threebody", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+steps["threebody job"] = loaded()
+print(json.dumps(steps))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(write_config(tmp_path, SCATTER, "scatter.json")),
+             str(write_config(tmp_path, three_body_config(**TB_SEEDS), "threebody.json")),
+             str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120, check=True)
+        steps = json.loads(result.stdout.strip().splitlines()[-1])
+        assert steps == {"import dwelltime": False, "import dwelltime.cli": False,
+                         "scatter job": False, "threebody job": True}

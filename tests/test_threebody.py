@@ -180,6 +180,20 @@ class TestDwellReport:
     def test_factorization_consistency(self, eigenpairs):
         assert factorization_residual(*eigenpairs) < 1e-9
 
+    def test_factorization_looks_up_scipy_simpson_by_name(self, eigenpairs, monkeypatch):
+        # the traced quadrature span wraps the module attribute, so the
+        # check must call it through the global name, once per channel
+        calls = []
+
+        def counting(y, dx):
+            calls.append(dx)
+            return original(y, dx=dx)
+
+        original = threebody._scipy_simpson
+        monkeypatch.setattr(threebody, "_scipy_simpson", counting)
+        factorization_residual(*eigenpairs)
+        assert len(calls) == 2
+
     def test_report_carries_the_factorization_gate_value(self, model, eigenpairs):
         rep = three_body_dwell(model, *eigenpairs)
         assert rep.factorization_residual == factorization_residual(*eigenpairs)
