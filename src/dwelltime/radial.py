@@ -44,6 +44,8 @@ from .numerics import (
 from .potentials import PotentialSpec
 
 _NODE_TOL = 1e-9
+# on_node_spacing tries this many interval counts before giving up
+_NODE_SEARCH = 2**20
 _MIN_POINTS_PER_WAVELENGTH = 20.0
 
 
@@ -83,18 +85,43 @@ class RadialGrid:
         return None
 
 
+def on_node_spacing(r_max: float, spacing: float, radii) -> float:
+    """A spacing whose grid on [0, r_max] has every one of ``radii`` on a node.
+
+    ``spacing`` itself when :meth:`RadialGrid.from_spacing` already puts
+    them there, else the largest r_max / N at or below it that does, by
+    :meth:`RadialGrid.index_of`.  Raises :class:`ConfigurationError` when
+    no grid of up to 2^20 more intervals does.
+    """
+    def on_node(grid: RadialGrid) -> bool:
+        return all(grid.index_of(r) is not None for r in radii)
+
+    if on_node(RadialGrid.from_spacing(r_max, spacing)):
+        return spacing
+    first = max(1, math.ceil(r_max / spacing - 1e-9))
+    for n in range(first, first + _NODE_SEARCH):
+        if on_node(RadialGrid(r_max, n + 1)):
+            return r_max / n
+    raise ConfigurationError(
+        f"no grid spacing at or below {spacing:.12g} up to {_NODE_SEARCH} more intervals puts "
+        f"r = {', '.join(f'{r:.12g}' for r in radii)} on a node of [0, {r_max:.12g}]")
+
+
 def default_spacing(potential: PotentialSpec, energy, mass: float, r_max: float) -> float:
     """Default spacing: the finer of r_max / 1500 and 300 nodes per local wavelength.
 
     The Numerov kernel has no roundoff floor (it runs in difference form),
     so the error keeps falling as h^4 on finer grids while the cost grows
     as 1/h; at this default the square-well phase shift is already within
-    about 1e-10 of its closed form.
+    about 1e-10 of its closed form.  Refined by :func:`on_node_spacing`
+    until every jump of V sits on a node.
     """
     vmax = float(np.max(np.abs(potential.evaluate(np.linspace(0.0, r_max, 512)))))
     kappa = math.sqrt(2.0 * mass * (abs(energy) + vmax)) if (abs(energy) + vmax) > 0 else 1.0
     wavelength = 2.0 * math.pi / max(kappa, 1e-12)
-    return min(r_max / 1500.0, wavelength / 300.0)
+    # a jump beyond r_max is left to the operator's support check
+    return on_node_spacing(r_max, min(r_max / 1500.0, wavelength / 300.0),
+                           [radius for radius, _, _ in potential.jump_points() if radius <= r_max])
 
 
 def auto_grid(potential: PotentialSpec, energy, mass: float, r_max: float | None = None,
@@ -162,7 +189,9 @@ def _node_potentials(potential: PotentialSpec, grid: RadialGrid):
     only on nodes that sit exactly on a declared discontinuity, which keeps
     the integrator at full order there.  A discontinuity on the last node
     is continued with its interior limit into the extension node so the
-    boundary derivative stays consistent with a one-sided solution.
+    boundary derivative stays consistent with a one-sided solution.  A
+    jump off every node would cost the integrator its order, so it raises
+    :class:`ConfigurationError` naming a spacing that puts it on one.
     """
     nodes = grid.nodes()
     h = grid.spacing
@@ -177,7 +206,11 @@ def _node_potentials(potential: PotentialSpec, grid: RadialGrid):
         jump = max(jump, abs(left - right))
         i = grid.index_of(radius)
         if i is None:
-            continue
+            suggested = on_node_spacing(grid.r_max, h, [r for r, _, _ in potential.jump_points()])
+            raise ConfigurationError(
+                f"the jump of V at r = {radius:.12g} is not a node of the grid on "
+                f"[0, {grid.r_max:.12g}] at spacing {h:.12g}; grid_spacing {suggested:.12g} "
+                f"puts every jump on a node")
         if i == grid.n_points - 1:
             v_left[i] = v_center[i] = v_right[i] = left
             v_left[i + 1] = v_center[i + 1] = v_right[i + 1] = left

@@ -332,15 +332,31 @@ def _time_report_row(rep: TimeReport) -> list:
             ";".join(rep.flags)]
 
 
-def write_wave_csv(path: Path, nodes: np.ndarray, values: np.ndarray) -> None:
-    """A dumped wave function as (r, Re phi, Im phi) rows: the bytes of :func:`write_csv`.
+def write_wave_csvs(nodes: np.ndarray, files) -> None:
+    """Dumped wave functions on one grid as (r, Re phi, Im phi) rows: the bytes of :func:`write_csv`.
 
-    The body is one %-format of all cells; "%.17g" % x equals
-    format(x, ".17g") for every float, so no per-cell call is needed.
+    ``files`` is a list of ``(path, values)`` pairs, ``values`` on ``nodes``.
+    The r column is formatted once and spliced into a row template; each
+    file is then one %-format of its phi cells ("%.17g" % x equals
+    format(x, ".17g") for every float).  A file whose imaginary part is
+    all +0.0 formats its real column only, with the literal "0" that
+    format(0.0, ".17g") writes; a -0.0 or nan there takes the full template.
     """
-    cells = np.column_stack((nodes, values.real, values.imag)).ravel().tolist()
-    body = ("%.17g,%.17g,%.17g\n" * len(nodes)) % tuple(cells)
-    atomic_write_text(path, "r,re_phi,im_phi\n" + body)
+    r = [format(x, ".17g") for x in nodes.tolist()]
+    real_rows = ",%.17g,0\n".join(r) + ",%.17g,0\n"
+    complex_rows = ",%.17g,%.17g\n".join(r) + ",%.17g,%.17g\n"
+    for path, values in files:
+        imag = values.imag
+        if not imag.any() and not np.signbit(imag).any():
+            body = real_rows % tuple(values.real.tolist())
+        else:
+            body = complex_rows % tuple(np.column_stack((values.real, imag)).ravel().tolist())
+        atomic_write_text(path, "r,re_phi,im_phi\n" + body)
+
+
+def write_wave_csv(path: Path, nodes: np.ndarray, values: np.ndarray) -> None:
+    """One dumped wave function: :func:`write_wave_csvs` for a single file."""
+    write_wave_csvs(nodes, [(path, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +380,10 @@ def run_scatter_scan(config: dict, out_dir=None, dump=False) -> tuple[list[Path]
     write_csv(path, ["E", "k", "delta", "re_S", "im_S", "re_I", "im_I", "unitarity_residual"], rows)
     written = [path]
     if dump:
-        nodes = RadialGrid.from_spacing(r0, num.grid_spacing).nodes()
-        for idx, values in enumerate(wavefunctions):
-            wf_path = path.with_name(f"{path.stem}_wavefunction_{idx:04d}.csv")
-            write_wave_csv(wf_path, nodes, values)
-            written.append(wf_path)
+        dumps = [(path.with_name(f"{path.stem}_wavefunction_{idx:04d}.csv"), values)
+                 for idx, values in enumerate(wavefunctions)]
+        write_wave_csvs(RadialGrid.from_spacing(r0, num.grid_spacing).nodes(), dumps)
+        written.extend(wf_path for wf_path, _ in dumps)
     print(f"[scatter_scan] {len(energies)} energies, max |delta| = "
           f"{max(abs(d) for d in deltas):.6g} -> {path}")
     return written, 0
@@ -443,11 +458,11 @@ def run_kp_find(config: dict, out_dir=None, dump=False) -> tuple[list[Path], int
     write_json(path, payload)
     written = [path]
     if dump:
-        for idx, pair in enumerate(result.eigenpairs):
-            grid = pair.eigenfunction.grid
-            ef_path = path.with_name(f"{path.stem}_eigenfunction_{idx:04d}.csv")
-            write_wave_csv(ef_path, grid.nodes(), pair.eigenfunction.values)
-            written.append(ef_path)
+        # every eigenpair comes from one operator, so they share its grid
+        dumps = [(path.with_name(f"{path.stem}_eigenfunction_{idx:04d}.csv"),
+                  pair.eigenfunction.values) for idx, pair in enumerate(result.eigenpairs)]
+        write_wave_csvs(result.eigenpairs[0].eigenfunction.grid.nodes(), dumps)
+        written.extend(ef_path for ef_path, _ in dumps)
     print(f"[kp_find] {len(result.eigenpairs)} eigenpair(s), "
           f"{len(result.failures)} failed seed(s) -> {path}")
     return written, 0
@@ -676,9 +691,17 @@ def _three_body_checks(model_cfg: dict, num: Numerics) -> list[CheckResult]:
     out.append(_check_le("continuity_integrated",
                          max(cont.integrated_residual_r, cont.integrated_residual_rho),
                          tol["continuity"]))
+    coarse = 2.0 * num.grid_spacing
+    # the radial solver rejects a jump of V off the nodes of the coarse grid
+    if any(RadialGrid.from_spacing(region, coarse).index_of(radius) is None
+           for pot, region in ((model.v_r, model.r_chi), (model.v_rho, model.rho_phi))
+           for radius, _, _ in pot.jump_points()):
+        out.append(CheckResult("continuity_order", 0.0, tol["continuity_order"], True,
+                               skipped=f"a jump of V is off the nodes at spacing {coarse:.12g}"))
+        return out
     coarse_r, coarse_rho = solve_subsystems(
         model, [eig_r.w], [eig_rho.w], k_mode=num.k_mode,
-        k_fixed_r=num.k_fixed, k_fixed_rho=num.k_fixed, spacing=2.0 * num.grid_spacing)
+        k_fixed_r=num.k_fixed, k_fixed_rho=num.k_fixed, spacing=coarse)
     cont_coarse = continuity_residual(coarse_r, coarse_rho)
     ratio = (cont_coarse.balance_max / cont.balance_max
              if cont.balance_max > 0 else math.inf)

@@ -30,8 +30,11 @@ from dwelltime.radial import (
     RadialGrid,
     RadialOperator,
     RadialSolution,
+    auto_grid,
+    default_spacing,
     integrate_radial,
     match_scattering,
+    on_node_spacing,
     phase_shift_scan,
     scattering_solution,
     solve_barrier_1d,
@@ -71,6 +74,54 @@ class TestGrid:
     def test_needs_two_points(self):
         with pytest.raises(ConfigurationError):
             RadialGrid(1.0, 1)
+
+
+class TestOffNodeJumps:
+    """A jump of V off every grid node would cost the integrator its order: it is rejected."""
+
+    # the well edge a = 1 sits a quarter step from a node at r0 = 2.0005, h = 1e-3
+    def scatter_config(self, tmp_path, spacing: float):
+        cfg = tmp_path / f"scatter_{spacing}.json"
+        cfg.write_text(json.dumps({
+            "scenario": "scatter_scan", "mass": 1.0, "r0": 2.0005,
+            "energy_range": [0.3, 9.0, 25], "numerics": {"grid_spacing": spacing},
+            "potential": {"kind": "square_well", "params": {"V0": 10.0, "a": 1.0},
+                          "support_radius": 1.0},
+        }))
+        return cfg
+
+    def test_off_node_config_exits_1_naming_radius_and_spacing(self, tmp_path, capsys):
+        assert run_scenario(self.scatter_config(tmp_path, 1e-3), out_dir=tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "jump of V at r = 1 " in out
+        assert "grid_spacing 0.0005 puts every jump on a node" in out
+        assert not (tmp_path / "scatter.csv").exists()
+
+    def test_suggested_spacing_meets_the_closed_form(self, tmp_path):
+        assert run_scenario(self.scatter_config(tmp_path, 5e-4), out_dir=tmp_path) == 0
+        rows = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+        for row in rows:
+            e, _, delta = (float(x) for x in row.split(",")[:3])
+            diff = delta - square_well_delta(e, 1.0, 10.0, 1.0)
+            assert abs(diff - math.pi * round(diff / math.pi)) < 1e-10
+
+    @pytest.mark.parametrize("r_max, spacing, want", [
+        (2.0005, 1e-3, 5e-4), (2.00025, 1e-3, 2.5e-4), (2.0001, 1e-3, 1e-4), (2.0, 1e-3, 1e-3),
+    ])
+    def test_on_node_spacing(self, r_max, spacing, want):
+        got = on_node_spacing(r_max, spacing, [1.0])
+        assert got == pytest.approx(want, rel=1e-12)
+        assert RadialGrid.from_spacing(r_max, got).index_of(1.0) is not None
+        # the requested spacing is kept whenever its grid already has the jump
+        if want == spacing:
+            assert got == spacing
+
+    def test_auto_grids_put_the_jump_on_a_node(self, sw10):
+        spacing = default_spacing(sw10, 1.0, 1.0, 2.0005)
+        assert spacing <= 2.0005 / 1500.0
+        sol = integrate_radial(sw10, 1.0, 1.0, auto_grid(sw10, 1.0, 1.0, r_max=2.0005))
+        diff = match_scattering(sol, 2.0005).delta - square_well_delta(1.0, 1.0, 10.0, 1.0)
+        assert abs(diff - math.pi * round(diff / math.pi)) < 1e-10
 
 
 class TestIntegrateRadial:

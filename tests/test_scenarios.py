@@ -17,7 +17,8 @@ from dwelltime import cli
 from dwelltime.cli import COMMANDS, build_parser, main
 from dwelltime.errors import ConfigurationError
 from dwelltime.potentials import PotentialSpec
-from dwelltime.radial import phase_shift_scan
+from dwelltime.radial import RadialGrid, phase_shift_scan
+from dwelltime.resonance import find_kp_eigenvalues
 from dwelltime.scenarios import (
     RUNNERS,
     Numerics,
@@ -144,6 +145,59 @@ class TestScatterScan:
         write_wave_csv(tmp_path / "one.csv", nodes, values)
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
+    def test_one_call_writes_every_file_like_the_per_cell_writer(self, tmp_path):
+        nodes = np.linspace(0.0, 3.0, 7)
+        re_part = np.array([0.0, 0.1, -1.0 / 3.0, 1e16, 5e-324, -2.5, 7.0])
+        negative_zero = re_part + 0.0j
+        negative_zero.imag[4] = -0.0
+        non_finite = re_part + 1e-300j
+        non_finite[[1, 5]] = [complex(math.nan, math.inf), complex(-math.inf, math.nan)]
+        files = {"real": re_part + 0.0j, "negative_zero": negative_zero,
+                 "non_finite": non_finite}
+        scenarios.write_wave_csvs(nodes, [(tmp_path / f"{name}.csv", values)
+                                          for name, values in files.items()])
+        for name, values in files.items():
+            rows = np.column_stack((nodes, values.real, values.imag)).tolist()
+            write_csv(tmp_path / f"{name}_cells.csv", ["r", "re_phi", "im_phi"], rows)
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_cells.csv").read_bytes()), name
+        assert (tmp_path / "negative_zero.csv").read_text().splitlines()[5].endswith(",-0")
+        assert all(row.endswith(",0") for row in (tmp_path / "real.csv").read_text().splitlines()[1:])
+
+    def test_cli_dumps_equal_the_per_cell_writer(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "scatter_scan", "potential": SW, "mass": 1.3, "r0": 2.0,
+            "energy_range": [0.5, 4.0, 3], "output": {"path": "s.csv"},
+        })
+        assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path),
+                     "--dump-wavefunction"]) == 0
+        wavefunctions = []
+        phase_shift_scan(PotentialSpec.from_dict(SW), np.linspace(0.5, 4.0, 3), 1.3, r0=2.0,
+                         spacing=1e-3, wavefunctions=wavefunctions)
+        nodes = RadialGrid.from_spacing(2.0, 1e-3).nodes()
+        for idx, values in enumerate(wavefunctions):
+            write_csv(tmp_path / "cells.csv", ["r", "re_phi", "im_phi"],
+                      np.column_stack((nodes, values.real, values.imag)).tolist())
+            assert ((tmp_path / f"s_wavefunction_{idx:04d}.csv").read_bytes()
+                    == (tmp_path / "cells.csv").read_bytes())
+
+        seeds = [[0.49, -0.4], [3.85, -2.07]]
+        cfg = write_config(tmp_path, {
+            "scenario": "kp_find", "potential": SW, "mass": 1.0, "r0": 2.0,
+            "seeds": seeds, "output": {"path": "kp.json"},
+        }, name="kp.json.config")
+        assert main(["kp", "--config", str(cfg), "--out", str(tmp_path),
+                     "--dump-eigenfunctions"]) == 0
+        found = find_kp_eigenvalues(PotentialSpec.from_dict(SW), 1.0,
+                                    [complex(*s) for s in seeds], 2.0, spacing=1e-3)
+        assert len(found.eigenpairs) == 2
+        for idx, pair in enumerate(found.eigenpairs):
+            values = pair.eigenfunction.values
+            write_csv(tmp_path / "cells.csv", ["r", "re_phi", "im_phi"],
+                      np.column_stack((nodes, values.real, values.imag)).tolist())
+            assert ((tmp_path / f"kp_eigenfunction_{idx:04d}.csv").read_bytes()
+                    == (tmp_path / "cells.csv").read_bytes())
+
     def test_dwell_rejects_wavefunction_dump(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "dwell_scan", "potential": SW, "mass": 1.0, "r0": 1.0,
@@ -261,6 +315,21 @@ class TestVerify:
         entry = report["width_dwell_identity"]
         assert not entry["pass"]
         assert entry["value"] > entry["tolerance"]
+
+    def test_continuity_order_skipped_when_the_coarse_grid_misses_a_jump(self, tmp_path):
+        # the well edge is a node at 5e-4 on [0, 2.0005] but not at 1e-3
+        cfg = write_config(tmp_path, {
+            "scenario": "identity_suite",
+            "models": {"three_body": {**THREE_BODY, **TB_SEEDS, "r_chi": 2.0005,
+                                      "rho_phi": 2.0005}},
+            "numerics": {"grid_spacing": 5e-4},
+            "output": {"path": "report.json"},
+        })
+        assert run_scenario(cfg, out_dir=tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["continuity_order"] == {
+            "skipped": "a jump of V is off the nodes at spacing 0.001"}
+        assert report["continuity_integrated"]["pass"]
 
 
 def test_write_csv_formats_17_significant_digits(tmp_path):

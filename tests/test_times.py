@@ -152,6 +152,18 @@ class TestWinful1D:
             assert winful_decomposition_1d(operator.solve(e)) == rep
             assert rep.tau_phase == pytest.approx(barrier_phase_time(e, 1.0, 5.0, 1.0), rel=1e-10)
 
+    def test_mass_enters_free_time_and_every_delay(self, barrier5):
+        # tau_free = m L / k: at m != 1 a dropped mass moves both delays
+        m, e = 1.7, 2.5
+        k = math.sqrt(2.0 * m * e)
+        rep = winful_decomposition_1d(solve_barrier_1d(barrier5, e, m))
+        assert rep.tau_free == pytest.approx(m * 1.0 / k, rel=1e-15)
+        tau_dwell = barrier_interior_dwell(e, m, 5.0, 1.0)
+        tau_phase = barrier_phase_time(e, m, 5.0, 1.0)
+        assert rep.tau_dwell == pytest.approx(tau_dwell, rel=1e-6)
+        assert rep.dwell_delay == pytest.approx(tau_dwell - m / k, abs=1e-6)
+        assert rep.phase_delay == pytest.approx(tau_phase - m / k, abs=1e-6)
+
     def test_threshold_is_flagged_not_asserted(self, barrier5):
         rep = winful_decomposition_1d(solve_barrier_1d(barrier5, 0.01, 1.0))
         assert "threshold_singular" in rep.flags
@@ -254,6 +266,20 @@ class TestTimeScan:
             want = square_well_delay(float(e), 1.0, 10.0, 1.0)
             # relative to the free time where the delay crosses zero
             assert abs(rep.phase_delay - want) < 2e-10 * max(abs(want), rep.tau_free)
+
+    def test_mass_enters_free_time_and_every_time(self, sw10):
+        # tau_free = m r0 / k; the closed forms take the mass independently
+        m, r0 = 1.7, 1.0
+        energies = np.linspace(0.3, 9.0, 12)
+        for e, rep in zip(energies, time_scan(sw10, m, energies, r0=r0, spacing=1e-3)):
+            e = float(e)
+            tau_free = m * r0 / math.sqrt(2.0 * m * e)
+            delay = square_well_delay(e, m, 10.0, 1.0)
+            assert rep.tau_free == pytest.approx(tau_free, rel=1e-15)
+            assert abs(rep.phase_delay - delay) < 2e-10 * max(abs(delay), tau_free)
+            assert rep.tau_phase == pytest.approx(delay + tau_free, rel=1e-9)
+            assert rep.tau_dwell == pytest.approx(square_well_interior_dwell(e, m, 10.0, 1.0),
+                                                  rel=1e-9)
 
     def test_nonpositive_energy_is_domain_error(self, sw10):
         with pytest.raises(DomainError):
